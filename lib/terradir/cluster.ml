@@ -827,7 +827,7 @@ let place_owners config tree rng =
 let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
   Config.validate config;
   let rng = Splitmix.create config.Config.seed in
-  let engine = Engine.create ~scheduler:config.Config.scheduler () in
+  let engine = Engine.create () in
   (* The sink reads simulation time through this closure; a null sink
      ignores it (shared across clusters and domains). *)
   Obs.set_clock obs (fun () -> Engine.now engine);

@@ -73,8 +73,6 @@ let best_candidate (s : Server.t) ~dst =
   if !best_node < 0 then None
   else Some { c_node = !best_node; c_dist = !best_dist; c_from_cache = !best_cache }
 
-let best_distance cands = match cands with [] -> None | c :: _ -> Some c.c_dist
-
 let max_shortcut_walk = 6
 (* Ancestors of dst tested per step.  A shortcut farther out is still a
    shortcut, but the conventional route makes progress every hop and gets
@@ -187,6 +185,3 @@ let decide ?(shortcut_bound = max_int) ?oracle (s : Server.t) ~dst =
         attempt (candidates s ~dst)
       )
   end
-
-let closest_known_distance s ~dst =
-  if Server.hosts s dst then Some 0 else best_distance (candidates s ~dst)

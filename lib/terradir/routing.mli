@@ -44,7 +44,3 @@ val decide :
     accurate information, as if given by an oracle" reference point.  The
     {e candidate} set is still the server's local knowledge: the oracle
     perfects accuracy, not awareness. *)
-
-val closest_known_distance : Server.t -> dst:node_id -> int option
-(** Distance of the best non-digest candidate (diagnostics/tests); [None]
-    when the server knows nothing relevant. *)

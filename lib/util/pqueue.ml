@@ -1,15 +1,14 @@
-(* Struct-of-arrays binary heap: keys, insertion sequences, tags, and
+(* Struct-of-arrays binary heap: keys, sequence numbers, tags, and
    values live in four parallel arrays instead of one boxed record per
    entry.  Long runs keep millions of pending events; with records every
    entry was a minor allocation that survived into the major heap.  The
    SoA layout allocates only on amortized growth, and the float keys are
    unboxed in their array.
 
-   The [tag] is an opaque integer riding along with each entry (the
-   engine stores the executing-context id there); it never participates
-   in the ordering.  [add] assigns sequence numbers from an internal
-   counter (tag 0); [add_tagged] lets the caller supply both, which the
-   parallel engine uses to impose a partition-independent total order. *)
+   The caller supplies each entry's sequence number, which the engine
+   uses to impose a partition-independent total order.  The [tag] is an
+   opaque integer riding along with each entry (the engine stores the
+   executing-context id there); it never participates in the ordering. *)
 
 type 'a t = {
   mutable keys : float array; (* positions [0, size) are live *)
@@ -17,17 +16,13 @@ type 'a t = {
   mutable tags : int array;
   mutable vals : 'a array;
   mutable size : int;
-  mutable next_seq : int;
 }
 
-let create () = { keys = [||]; seqs = [||]; tags = [||]; vals = [||]; size = 0; next_seq = 0 }
+let create () = { keys = [||]; seqs = [||]; tags = [||]; vals = [||]; size = 0 }
 
 let length q = q.size
 
 let is_empty q = q.size = 0
-
-(* Entry ordering: key first, then insertion sequence for FIFO ties. *)
-let before q i kj sj = q.keys.(i) < kj || (q.keys.(i) = kj && q.seqs.(i) < sj)
 
 let grow q value =
   let capacity = Array.length q.keys in
@@ -76,86 +71,53 @@ let add_tagged q ~key ~seq ~tag value =
   q.tags.(!i) <- tag;
   q.vals.(!i) <- value
 
-let add q key value =
-  let seq = q.next_seq in
-  q.next_seq <- seq + 1;
-  add_tagged q ~key ~seq ~tag:0 value
-
 let top_key q = q.keys.(0)
 
 let top_seq q = q.seqs.(0)
 
 let top_tag q = q.tags.(0)
 
-let min q = if q.size = 0 then None else Some (q.keys.(0), q.vals.(0))
-
-(* Sift the last entry down from the root hole. *)
-let sift_down q key seq tag value =
-  let n = q.size in
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    (* The hole at [i] holds stale data; the moving entry's (key, seq)
-       stands in for it, tracked in locals as the running minimum. *)
-    let smallest = ref !i and sk = ref key and ss = ref seq in
-    if l < n && before q l !sk !ss then begin
-      smallest := l;
-      sk := q.keys.(l);
-      ss := q.seqs.(l)
-    end;
-    if r < n && before q r !sk !ss then smallest := r;
-    if !smallest <> !i then begin
-      q.keys.(!i) <- q.keys.(!smallest);
-      q.seqs.(!i) <- q.seqs.(!smallest);
-      q.tags.(!i) <- q.tags.(!smallest);
-      q.vals.(!i) <- q.vals.(!smallest);
-      i := !smallest
-    end
-    else continue := false
-  done;
-  q.keys.(!i) <- key;
-  q.seqs.(!i) <- seq;
-  q.tags.(!i) <- tag;
-  q.vals.(!i) <- value
-
+(* Remove the root: the last entry sifts down from the root hole.
+   Children are compared in place and the moving entry's (key, seq) stays
+   in immutable locals: a float held in a ref across iterations, or passed
+   to a helper, is boxed at every level. *)
 let pop_exn q =
   if q.size = 0 then invalid_arg "Pqueue.pop_exn: empty";
   let top = q.vals.(0) in
-  q.size <- q.size - 1;
-  if q.size > 0 then begin
-    let last = q.size in
-    let k = q.keys.(last) and s = q.seqs.(last) and g = q.tags.(last) and v = q.vals.(last) in
-    q.vals.(last) <- top (* keep slot initialized; avoids space leak concerns *);
-    sift_down q k s g v
+  let n = q.size - 1 in
+  q.size <- n;
+  if n > 0 then begin
+    let keys = q.keys and seqs = q.seqs and tags = q.tags and vals = q.vals in
+    let key = keys.(n) and seq = seqs.(n) and tag = tags.(n) and value = vals.(n) in
+    vals.(n) <- top (* keep slot initialized; avoids space leak concerns *);
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < n then begin
+            let kl = keys.(l) and kr = keys.(r) in
+            if kr < kl || (kr = kl && seqs.(r) < seqs.(l)) then r else l
+          end
+          else l
+        in
+        let kc = keys.(c) in
+        if kc < key || (kc = key && seqs.(c) < seq) then begin
+          keys.(!i) <- kc;
+          seqs.(!i) <- seqs.(c);
+          tags.(!i) <- tags.(c);
+          vals.(!i) <- vals.(c);
+          i := c
+        end
+        else continue := false
+      end
+    done;
+    keys.(!i) <- key;
+    seqs.(!i) <- seq;
+    tags.(!i) <- tag;
+    vals.(!i) <- value
   end;
   top
-
-let pop q =
-  if q.size = 0 then None
-  else begin
-    let key = q.keys.(0) in
-    let value = pop_exn q in
-    Some (key, value)
-  end
-
-let clear q =
-  q.keys <- [||];
-  q.seqs <- [||];
-  q.tags <- [||];
-  q.vals <- [||];
-  q.size <- 0
-
-let to_sorted_list q =
-  let copy =
-    {
-      keys = Array.copy q.keys;
-      seqs = Array.copy q.seqs;
-      tags = Array.copy q.tags;
-      vals = Array.copy q.vals;
-      size = q.size;
-      next_seq = q.next_seq;
-    }
-  in
-  let rec drain acc = match pop copy with None -> List.rev acc | Some kv -> drain (kv :: acc) in
-  drain []

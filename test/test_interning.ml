@@ -1,11 +1,10 @@
 (* Equivalence suite for the scaling refactor: the interned [Name], the
-   struct-of-arrays [Pqueue], the calendar-queue scheduler, and the
-   floatarray [Load_meter] must be bit-identical — structural results and
-   RNG draw counts — to the semantics of the representations they
-   replaced.  Each reference implementation below is a straight rewrite of
-   the historical code (string-list names, record meters, option-returning
-   heap), and qcheck drives both sides through the same operation
-   sequences. *)
+   struct-of-arrays [Pqueue] and the floatarray [Load_meter] must be
+   bit-identical — structural results and RNG draw counts — to the
+   semantics of the representations they replaced.  Each reference
+   implementation below is a straight rewrite of the historical code
+   (string-list names, a sorted event list, record meters), and qcheck
+   drives both sides through the same operation sequences. *)
 
 open Terradir_util
 open Terradir_namespace
@@ -138,126 +137,90 @@ let tree_roundtrip () =
   Alcotest.(check (option int)) "unknown path" None (Tree.find_string tree "/no/such/node")
 
 (* ------------------------------------------------------------------ *)
-(* Pqueue (SoA heap) vs Calqueue: identical pop sequences              *)
+(* Pqueue (SoA heap) vs a sorted-list model                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Keys from a tiny set so FIFO ties are common — the ordering bug class
-   both structures must agree on is equal-key insertion order. *)
-type qop = Add of float | Pop
+(* Keys from a tiny set so ties are common: the ordering bug class that
+   matters is equal-key order, which must follow the caller's seq.  An
+   Add's seq is [rank * 1000 + serial] — unique, as the engine's ties are,
+   and out of insertion order whenever the drawn ranks decrease; equal
+   ranks reduce to FIFO.  Peeks are interleaved without popping, as the
+   parallel coordinator peeks every lane between windows. *)
+type qop = Add of { key : float; rank : int; tag : int } | Peek | Pop
 
 let qop_gen =
   QCheck.Gen.(
     frequency
-      [ (3, map (fun k -> Add (float_of_int k /. 4.0)) (int_bound 8)); (2, pure Pop) ])
+      [
+        ( 3,
+          map3
+            (fun k rank tag -> Add { key = float_of_int k /. 4.0; rank; tag })
+            (int_bound 8) (int_bound 3) (int_range (-2) 5) );
+        (1, pure Peek);
+        (2, pure Pop);
+      ])
 
 let arb_qops =
   QCheck.make
     ~print:(fun ops ->
       String.concat ";"
-        (List.map (function Add k -> Printf.sprintf "add %g" k | Pop -> "pop") ops))
-    QCheck.Gen.(list_size (int_bound 60) qop_gen)
+        (List.map
+           (function
+             | Add { key; rank; tag } -> Printf.sprintf "add %g r%d t%d" key rank tag
+             | Peek -> "peek"
+             | Pop -> "pop")
+           ops))
+    QCheck.Gen.(list_size (int_bound 80) qop_gen)
 
-let prop_heap_calendar_equal =
-  QCheck.Test.make ~name:"scheduler: heap and calendar agree on every op sequence"
-    ~count:500 arb_qops
-    (fun ops ->
-      let h = Pqueue.create () and c = Calqueue.create () in
-      let serial = ref 0 in
-      let ok = ref true in
-      List.iter
-        (fun op ->
-          match op with
-          | Add k ->
-            incr serial;
-            Pqueue.add h k !serial;
-            Calqueue.add c k !serial
-          | Pop -> (
-            (match (Pqueue.min h, Calqueue.min c) with
-            | Some (hk, hv), Some (ck, cv) -> ok := !ok && hk = ck && hv = cv
-            | None, None -> ()
-            | _ -> ok := false);
-            match (Pqueue.pop h, Calqueue.pop c) with
-            | Some (hk, hv), Some (ck, cv) -> ok := !ok && hk = ck && hv = cv
-            | None, None -> ()
-            | _ -> ok := false))
-        ops;
-      ok := !ok && Pqueue.length h = Calqueue.length c;
-      (* Drain what remains: total order must match to the last element. *)
-      let rec drain () =
-        match (Pqueue.pop h, Calqueue.pop c) with
-        | Some (hk, hv), Some (ck, cv) ->
-          ok := !ok && hk = ck && hv = cv;
-          drain ()
-        | None, None -> ()
-        | _ -> ok := false
-      in
-      drain ();
-      !ok)
-
-let prop_pop_exn_matches_pop =
-  QCheck.Test.make ~name:"scheduler: top_key/pop_exn agree with min/pop" ~count:300 arb_qops
-    (fun ops ->
-      let a = Pqueue.create () and b = Pqueue.create () in
-      let serial = ref 0 in
-      let ok = ref true in
-      List.iter
-        (fun op ->
-          match op with
-          | Add k ->
-            incr serial;
-            Pqueue.add a k !serial;
-            Pqueue.add b k !serial
-          | Pop -> (
-            match Pqueue.pop a with
-            | None -> ok := !ok && Pqueue.is_empty b
-            | Some (k, v) ->
-              ok := !ok && Pqueue.top_key b = k && Pqueue.pop_exn b = v))
-        ops;
-      !ok && Pqueue.length a = Pqueue.length b)
-
-let calendar_peek_then_early_insert () =
-  (* Regression: a peek's year-by-year walk advances the scan year past
-     empty buckets.  An insert arriving ABOVE last_key but BELOW the
-     advanced year (the parallel engine's coordinator peeks every lane
-     between windows without popping) must pull the year back, or the
-     walk skips the era once the cached min is popped. *)
-  let c = Calqueue.create () in
-  Calqueue.add_tagged c ~key:3.7 ~seq:1 ~tag:0 "far";
-  ignore (Calqueue.top_key c) (* walk advances the scan year to 3 *);
-  Calqueue.add_tagged c ~key:0.4 ~seq:2 ~tag:0 "near";
-  Calqueue.add_tagged c ~key:0.6 ~seq:3 ~tag:0 "nearer";
-  Alcotest.(check string) "cached min" "near" (Calqueue.pop_exn c);
-  Alcotest.(check (float 0.0)) "era not skipped" 0.6 (Calqueue.top_key c);
-  Alcotest.(check string) "in order" "nearer" (Calqueue.pop_exn c);
-  Alcotest.(check string) "far last" "far" (Calqueue.pop_exn c)
-
-let calendar_wide_spread () =
-  (* Exercise bucket resizing and the direct-search fallback: widely and
-     unevenly spread keys, then a full drain. *)
-  let c = Calqueue.create () and h = Pqueue.create () in
-  let rng = Splitmix.create 7 in
-  for i = 1 to 2000 do
-    let k =
-      match Splitmix.int rng 3 with
-      | 0 -> Splitmix.float rng 1.0
-      | 1 -> 1000.0 +. Splitmix.float rng 1.0
-      | _ -> Splitmix.float rng 1e6
-    in
-    Pqueue.add h k i;
-    Calqueue.add c k i;
-    if i mod 3 = 0 then begin
-      let a = Pqueue.pop h and b = Calqueue.pop c in
-      if a <> b then Alcotest.failf "mid-drain divergence at %d" i
-    end
-  done;
-  let rec drain n =
-    match (Pqueue.pop h, Calqueue.pop c) with
-    | None, None -> n
-    | a, b ->
-      if a <> b then Alcotest.failf "drain divergence after %d pops" n;
-      drain (n + 1)
+(* Model entry: (key, seq, tag, value), kept sorted by (key, seq). *)
+let model_insert e model =
+  let k, s, _, _ = e in
+  let rec go = function
+    | [] -> [ e ]
+    | ((k', s', _, _) as x) :: rest ->
+      if k < k' || (k = k' && s < s') then e :: x :: rest else x :: go rest
   in
-  ignore (drain 0)
+  go model
+
+let prop_heap_matches_model =
+  QCheck.Test.make ~name:"scheduler: heap matches the sorted (key, seq) model" ~count:1000
+    arb_qops (fun ops ->
+      let q = Pqueue.create () in
+      let serial = ref 0 in
+      let peek_ok model =
+        match model with
+        | [] -> Pqueue.is_empty q
+        | (k, s, g, _) :: _ ->
+          (not (Pqueue.is_empty q))
+          && Pqueue.top_key q = k && Pqueue.top_seq q = s && Pqueue.top_tag q = g
+      in
+      let step model = function
+        | Add { key; rank; tag } ->
+          incr serial;
+          let seq = (rank * 1000) + !serial in
+          Pqueue.add_tagged q ~key ~seq ~tag !serial;
+          Some (model_insert (key, seq, tag, !serial) model)
+        | Peek -> if peek_ok model then Some model else None
+        | Pop -> (
+          match model with
+          | [] -> (
+            match Pqueue.pop_exn q with _ -> None | exception Invalid_argument _ -> Some [])
+          | (_, _, _, v) :: rest -> if Pqueue.pop_exn q = v then Some rest else None)
+      in
+      let rec run model = function
+        | [] -> Some model
+        | op :: rest -> (
+          match step model op with
+          | Some m when Pqueue.length q = List.length m -> run m rest
+          | _ -> None)
+      in
+      match run [] ops with
+      | None -> false
+      | Some model -> (
+        (* Drain what remains: the total order must match to the last entry. *)
+        match run model (List.concat_map (fun _ -> [ Peek; Pop ]) model) with
+        | Some [] -> Pqueue.is_empty q
+        | _ -> false))
 
 (* ------------------------------------------------------------------ *)
 (* Load_meter (floatarray) vs the historical record representation     *)
@@ -474,12 +437,7 @@ let () =
           ]
         @ [ Alcotest.test_case "tree name/find roundtrip" `Quick tree_roundtrip ] );
       ( "scheduler",
-        q [ prop_heap_calendar_equal; prop_pop_exn_matches_pop ]
-        @ [
-            Alcotest.test_case "calendar wide key spread" `Quick calendar_wide_spread;
-            Alcotest.test_case "calendar peek then early insert" `Quick
-              calendar_peek_then_early_insert;
-          ] );
+        q [ prop_heap_matches_model ] );
       ("meters", q [ prop_load_meter_matches ]);
       ( "rng",
         q [ prop_node_map_merge_draws ]

@@ -179,18 +179,6 @@ let test_prune_noop_without_digests () =
   Alcotest.(check bool) "feature off: untouched" true
     (Server.prune_map_with_digests s 9 map == map)
 
-let test_closest_known_distance () =
-  let cluster = pristine () in
-  let s =
-    Array.to_list cluster.Cluster.servers |> List.find (fun s -> Server.hosted_nodes s <> [])
-  in
-  let hosted = List.hd (Server.hosted_nodes s) in
-  Alcotest.(check (option int)) "hosted is 0" (Some 0)
-    (Routing.closest_known_distance s ~dst:hosted);
-  let empty = Server.create ~id:1 ~config ~tree ~rng:(Splitmix.create 2) () in
-  Alcotest.(check (option int)) "empty server knows nothing" None
-    (Routing.closest_known_distance empty ~dst:3)
-
 (* Property: on random pristine clusters (varying seed), the full routing
    walk reaches the destination from any of the first few servers. *)
 let prop_routing_converges =
@@ -228,7 +216,6 @@ let () =
           Alcotest.test_case "dead end" `Quick test_dead_end_without_knowledge;
           Alcotest.test_case "map pruning" `Quick test_prune_map_with_digests;
           Alcotest.test_case "pruning gated" `Quick test_prune_noop_without_digests;
-          Alcotest.test_case "closest known distance" `Quick test_closest_known_distance;
         ] );
       ( "routing-props",
         List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_routing_converges ] );

@@ -149,52 +149,62 @@ let prop_bitset_count =
 (* Pqueue                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let test_pqueue_ordering () =
+(* Insert [(key, v)] pairs with seqs in list order, the engine's FIFO
+   convention for events sharing a timestamp. *)
+let pqueue_of entries =
   let q = Pqueue.create () in
-  List.iter (fun (k, v) -> Pqueue.add q k v) [ (3.0, "c"); (1.0, "a"); (2.0, "b") ];
-  let drain () = match Pqueue.pop q with Some (_, v) -> v | None -> "?" in
-  let first = drain () in
-  let second = drain () in
-  let third = drain () in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] [ first; second; third ];
-  Alcotest.(check bool) "empty" true (Pqueue.is_empty q)
+  List.iteri (fun seq (key, v) -> Pqueue.add_tagged q ~key ~seq ~tag:0 v) entries;
+  q
+
+let pqueue_drain q =
+  let rec go acc =
+    if Pqueue.is_empty q then List.rev acc
+    else
+      let k = Pqueue.top_key q in
+      go ((k, Pqueue.pop_exn q) :: acc)
+  in
+  go []
+
+let test_pqueue_ordering () =
+  let q = pqueue_of [ (3.0, "c"); (1.0, "a"); (2.0, "b") ] in
+  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] (List.map snd (pqueue_drain q));
+  Alcotest.(check bool) "empty" true (Pqueue.is_empty q);
+  Alcotest.check_raises "pop_exn on empty" (Invalid_argument "Pqueue.pop_exn: empty")
+    (fun () -> ignore (Pqueue.pop_exn q))
 
 let test_pqueue_fifo_ties () =
-  let q = Pqueue.create () in
-  List.iter (fun v -> Pqueue.add q 5.0 v) [ 1; 2; 3; 4 ];
-  let order = List.filter_map (fun _ -> Option.map snd (Pqueue.pop q)) [ (); (); (); () ] in
-  Alcotest.(check (list int)) "insertion order on ties" [ 1; 2; 3; 4 ] order
+  let q = pqueue_of (List.map (fun v -> (5.0, v)) [ 1; 2; 3; 4 ]) in
+  Alcotest.(check (list int)) "seq order on ties" [ 1; 2; 3; 4 ] (List.map snd (pqueue_drain q));
+  (* Seq, not insertion order, breaks ties. *)
+  List.iter (fun (seq, v) -> Pqueue.add_tagged q ~key:5.0 ~seq ~tag:0 v) [ (9, 3); (2, 1); (5, 2) ];
+  Alcotest.(check (list int)) "explicit seqs" [ 1; 2; 3 ] (List.map snd (pqueue_drain q))
 
 let test_pqueue_min_peek () =
   let q = Pqueue.create () in
-  Alcotest.(check bool) "empty min" true (Pqueue.min q = None);
-  Pqueue.add q 2.0 "x";
-  Pqueue.add q 1.0 "y";
-  (match Pqueue.min q with
-  | Some (k, v) ->
-    check_float "min key" 1.0 k;
-    Alcotest.(check string) "min value" "y" v
-  | None -> Alcotest.fail "expected min");
-  Alcotest.(check int) "peek does not remove" 2 (Pqueue.length q)
+  Alcotest.(check bool) "starts empty" true (Pqueue.is_empty q);
+  Pqueue.add_tagged q ~key:2.0 ~seq:0 ~tag:7 "x";
+  Pqueue.add_tagged q ~key:1.0 ~seq:1 ~tag:(-2) "y";
+  check_float "min key" 1.0 (Pqueue.top_key q);
+  Alcotest.(check int) "min seq" 1 (Pqueue.top_seq q);
+  Alcotest.(check int) "min tag" (-2) (Pqueue.top_tag q);
+  Alcotest.(check int) "peek does not remove" 2 (Pqueue.length q);
+  Alcotest.(check string) "min value" "y" (Pqueue.pop_exn q);
+  Alcotest.(check int) "next tag" 7 (Pqueue.top_tag q)
 
-let test_pqueue_to_sorted_list () =
-  let q = Pqueue.create () in
-  List.iter (fun k -> Pqueue.add q k (int_of_float k)) [ 4.0; 1.0; 3.0; 2.0 ];
-  let keys = List.map fst (Pqueue.to_sorted_list q) in
-  Alcotest.(check (list (float 0.0))) "sorted view" [ 1.0; 2.0; 3.0; 4.0 ] keys;
-  Alcotest.(check int) "queue intact" 4 (Pqueue.length q)
+let test_pqueue_sorted_drain () =
+  let q = pqueue_of (List.map (fun k -> (k, int_of_float k)) [ 4.0; 1.0; 3.0; 2.0 ]) in
+  Alcotest.(check int) "length" 4 (Pqueue.length q);
+  Alcotest.(check (list (pair (float 0.0) int)))
+    "sorted drain"
+    [ (1.0, 1); (2.0, 2); (3.0, 3); (4.0, 4) ]
+    (pqueue_drain q)
 
 let prop_pqueue_sorted =
   QCheck.Test.make ~name:"pqueue: pops are sorted" ~count:200
     QCheck.(list (float_bound_inclusive 1000.0))
     (fun keys ->
-      let q = Pqueue.create () in
-      List.iter (fun k -> Pqueue.add q k ()) keys;
-      let rec drain acc =
-        match Pqueue.pop q with None -> List.rev acc | Some (k, ()) -> drain (k :: acc)
-      in
-      let popped = drain [] in
-      popped = List.sort compare keys)
+      let q = pqueue_of (List.map (fun k -> (k, ())) keys) in
+      List.map fst (pqueue_drain q) = List.sort compare keys)
 
 (* ------------------------------------------------------------------ *)
 (* Lru                                                                 *)
@@ -339,27 +349,6 @@ let test_stats_merge_empty () =
   Alcotest.(check int) "count" 1 (Stats.count m);
   check_float "mean" 5.0 (Stats.mean m)
 
-let test_reservoir_percentiles () =
-  let rng = Splitmix.create 17 in
-  let r = Stats.Reservoir.create ~capacity:1000 rng in
-  for i = 1 to 1000 do
-    Stats.Reservoir.add r (float_of_int i)
-  done;
-  (* capacity = samples, so percentiles are exact *)
-  check_float "median" 500.5 (Stats.Reservoir.percentile r 0.5);
-  check_float "p0" 1.0 (Stats.Reservoir.percentile r 0.0);
-  check_float "p100" 1000.0 (Stats.Reservoir.percentile r 1.0)
-
-let test_reservoir_subsampling () =
-  let rng = Splitmix.create 23 in
-  let r = Stats.Reservoir.create ~capacity:512 rng in
-  for i = 1 to 100_000 do
-    Stats.Reservoir.add r (float_of_int (i mod 1000))
-  done;
-  Alcotest.(check int) "sees all" 100_000 (Stats.Reservoir.count r);
-  let median = Stats.Reservoir.percentile r 0.5 in
-  Alcotest.(check bool) "median approx 500" true (abs_float (median -. 500.0) < 60.0)
-
 let prop_stats_mean_bounded =
   QCheck.Test.make ~name:"stats: min <= mean <= max" ~count:300
     QCheck.(list_of_size (Gen.int_range 1 50) (float_bound_inclusive 100.0))
@@ -477,7 +466,7 @@ let () =
           Alcotest.test_case "ordering" `Quick test_pqueue_ordering;
           Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
           Alcotest.test_case "min peek" `Quick test_pqueue_min_peek;
-          Alcotest.test_case "sorted view" `Quick test_pqueue_to_sorted_list;
+          Alcotest.test_case "sorted view" `Quick test_pqueue_sorted_drain;
         ] );
       qsuite "pqueue-props" [ prop_pqueue_sorted ];
       ( "lru",
@@ -497,8 +486,6 @@ let () =
           Alcotest.test_case "empty" `Quick test_stats_empty;
           Alcotest.test_case "merge" `Quick test_stats_merge;
           Alcotest.test_case "merge empty" `Quick test_stats_merge_empty;
-          Alcotest.test_case "reservoir percentiles" `Quick test_reservoir_percentiles;
-          Alcotest.test_case "reservoir subsampling" `Quick test_reservoir_subsampling;
         ] );
       qsuite "stats-props" [ prop_stats_mean_bounded ];
       ( "timeseries",
