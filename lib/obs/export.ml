@@ -140,11 +140,10 @@ let events_csv recorder =
 
 let probes_csv probes =
   let b = Buffer.create 4096 in
-  Buffer.add_string b "time,server,load,queue_depth,replicas,cache_hit_rate\n";
-  Probes.iter probes (fun ~server { Probes.p_time; p_load; p_queue; p_replicas; p_hit_rate } ->
+  Buffer.add_string b "time,server,load,queue_depth,replicas\n";
+  Probes.iter probes (fun ~server { Probes.p_time; p_load; p_queue; p_replicas } ->
       Buffer.add_string b
-        (Printf.sprintf "%.6f,%d,%.6f,%d,%d,%.6f\n" p_time server p_load p_queue p_replicas
-           p_hit_rate));
+        (Printf.sprintf "%.6f,%d,%.6f,%d,%d\n" p_time server p_load p_queue p_replicas));
   Buffer.contents b
 
 (* ---- terminal summary ---- *)

@@ -22,7 +22,7 @@ val events_csv : Recorder.t -> string
     comma-free [k=v] field rendering. *)
 
 val probes_csv : Probes.t -> string
-(** Header [time,server,load,queue_depth,replicas,cache_hit_rate]; rows
+(** Header [time,server,load,queue_depth,replicas]; rows
     grouped by server, chronological within a server. *)
 
 val summary_rows : Obs.t -> (string * string) list

@@ -7,7 +7,6 @@ type sample = {
   p_load : float;
   p_queue : int;
   p_replicas : int;
-  p_hit_rate : float;
 }
 
 type t = {

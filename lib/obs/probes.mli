@@ -2,7 +2,7 @@
 
     One {!sample} per server per probe tick (the engine-observer cadence
     configured by [probe_every]): smoothed load, instantaneous queue
-    depth, replica count, and cumulative cache hit rate.  The store grows
+    depth and replica count.  The store grows
     to cover whatever server ids are probed; sampling itself reads
     simulation state but never mutates it. *)
 
@@ -11,7 +11,6 @@ type sample = {
   p_load : float;  (** smoothed load-meter reading *)
   p_queue : int;  (** request-queue depth at the tick *)
   p_replicas : int;  (** replicas hosted (excluding owned nodes) *)
-  p_hit_rate : float;  (** cumulative replica-cache hit rate, 0 if unused *)
 }
 
 type t

@@ -10,7 +10,6 @@ type t = {
   owner : int;  (* server id the sink attributes hit/miss events to *)
   scratch : Node_map.scratch;  (* single-owner: the owning server's lane *)
   mutable hits : int;
-  mutable misses : int;
 }
 
 let create ?(obs = Obs.null) ?(owner = -1) ~slots ~r_map ~rng () =
@@ -23,7 +22,6 @@ let create ?(obs = Obs.null) ?(owner = -1) ~slots ~r_map ~rng () =
     owner;
     scratch = Node_map.scratch ();
     hits = 0;
-    misses = 0;
   }
 
 let slots t = Lru.capacity t.lru
@@ -47,7 +45,6 @@ let count t ~node = function
     if Obs.full_on t.obs then Obs.record t.obs ~server:t.owner (Event.Cache_hit { node });
     r
   | None ->
-    t.misses <- t.misses + 1;
     (* lint: obs-in-hot-path per-lookup events only exist at the full level *)
     if Obs.full_on t.obs then Obs.record t.obs ~server:t.owner (Event.Cache_miss { node });
     None
@@ -73,11 +70,5 @@ let update t ~node ~f =
 let iter t ~f = Lru.iter t.lru ~f
 
 let hits t = t.hits
-
-let misses t = t.misses
-
-let hit_rate t =
-  let total = t.hits + t.misses in
-  if total = 0 then 0.0 else float_of_int t.hits /. float_of_int total
 
 let clear t = Lru.clear t.lru

@@ -44,11 +44,6 @@ val iter : t -> f:(int -> Node_map.t -> unit) -> unit
 (** Iterate entries (MRU first) without touching them. *)
 
 val hits : t -> int
-
-val misses : t -> int
-(** {!use} and {!peek} count towards the hit/miss counters. *)
-
-val hit_rate : t -> float
-(** [hits / (hits + misses)]; 0 before the first lookup. *)
+(** Lookups by {!use} and {!peek} that found an entry. *)
 
 val clear : t -> unit

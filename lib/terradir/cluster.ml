@@ -517,7 +517,6 @@ and process_query ?from t s q =
   let oracle =
     if t.config.Config.oracle_maps then Some (ground_truth_map t) else None
   in
-  let rec route ~reseeded =
   match Routing.decide ~shortcut_bound:q.best_dist ?oracle s ~dst:q.dst with
   | Routing.Resolve ->
     Server.touch_node s q.dst ~now:time;
@@ -537,54 +536,54 @@ and process_query ?from t s q =
     (* Loop breaking.  A stale forward whose best candidate is no closer
        than the query has already reached would wander sideways — two peers
        with mutually-stale maps bounce such a query between them until the
-       hop budget kills it.  Fall back on the namespace guarantee instead:
-       route via the well-known root and descend the owner chain, which
-       always progresses while owners are alive (owner entries are durable,
-       merge-pinned, and filter-exempt). *)
-    let via_node, to_server, shortcut =
-      if
-        shortcut || q.hops = 0
-        || Server.hosts s q.target
-        || Tree.distance t.tree via_node q.dst < q.best_dist
-        || not (reseed_root_contact t s)
-      then (via_node, to_server, shortcut)
-      else
-        match
-          Option.bind
-            (Cache.use s.Server.cache ~node:Tree.root)
-            (fun map -> Node_map.random_server ~exclude:s.Server.id map s.Server.rng)
-        with
-        | Some root_server -> (Tree.root, root_server, false)
-        | None -> (via_node, to_server, shortcut)
-    in
-    if shortcut then begin
-      q.shortcut_hops <- q.shortcut_hops + 1;
-      let m = met t in
-      m.Metrics.shortcut_forwards <- m.Metrics.shortcut_forwards + 1
-    end;
-    append_path_entry t s q;
+       hop budget kills it.  Escape via the root instead. *)
+    if
+      shortcut || q.hops = 0
+      || Server.hosts s q.target
+      || Tree.distance t.tree via_node q.dst < q.best_dist
+      || not (root_escape t s q)
+    then forward_query t s q ~via_node ~to_server ~shortcut
+  | Routing.Dead_end -> if not (root_escape t s q) then finish_dropped t q Dead_end
+
+(* The one escape for a routing step that cannot make progress: fall back
+   on the namespace guarantee — route via the well-known root and descend
+   the owner chain, which always progresses while owners are alive (owner
+   entries are durable, merge-pinned, and filter-exempt; soft state
+   rebuilds from there via path propagation).  Returns whether the query
+   was forwarded; false when this server is the root contact or the root's
+   map names no other server. *)
+and root_escape t s q =
+  reseed_root_contact t s
+  &&
+  match Cache.use s.Server.cache ~node:Tree.root with
+  | None -> false
+  | Some map -> (
+    match Node_map.random_server ~exclude:s.Server.id map s.Server.rng with
+    | None -> false
+    | Some to_server ->
+      forward_query t s q ~via_node:Tree.root ~to_server ~shortcut:false;
+      true)
+
+and forward_query t s q ~via_node ~to_server ~shortcut =
+  if shortcut then begin
+    q.shortcut_hops <- q.shortcut_hops + 1;
     let m = met t in
-    m.Metrics.query_forwards <- m.Metrics.query_forwards + 1;
-    q.hops <- q.hops + 1;
-    if q.hops > t.hop_budget then finish_dropped t q Hop_budget
-    else begin
-      q.target <- via_node;
-      q.best_dist <- min q.best_dist (Tree.distance t.tree via_node q.dst);
-      if Obs.full_on t.obs then
-        (* lint: obs-in-hot-path per-hop routing detail; full level only *)
-        Obs.record t.obs ~server:s.Server.id
-          (Event.Query_forwarded { qid = q.qid; via_node; to_server; shortcut });
-      send t ~from:s.Server.id ~to_:to_server (Query q)
-    end
-  | Routing.Dead_end ->
-    (* Last resort before stranding the query: fall back on the durable
-       root contact once and re-decide (soft state rebuilds from there via
-       the usual path-propagation machinery).  Bounded: at most one reseed
-       per processing step, and every resulting forward consumes hops. *)
-    if (not reseeded) && reseed_root_contact t s then route ~reseeded:true
-    else finish_dropped t q Dead_end
-  in
-  route ~reseeded:false
+    m.Metrics.shortcut_forwards <- m.Metrics.shortcut_forwards + 1
+  end;
+  append_path_entry t s q;
+  let m = met t in
+  m.Metrics.query_forwards <- m.Metrics.query_forwards + 1;
+  q.hops <- q.hops + 1;
+  if q.hops > t.hop_budget then finish_dropped t q Hop_budget
+  else begin
+    q.target <- via_node;
+    q.best_dist <- min q.best_dist (Tree.distance t.tree via_node q.dst);
+    if Obs.full_on t.obs then
+      (* lint: obs-in-hot-path per-hop routing detail; full level only *)
+      Obs.record t.obs ~server:s.Server.id
+        (Event.Query_forwarded { qid = q.qid; via_node; to_server; shortcut });
+    send t ~from:s.Server.id ~to_:to_server (Query q)
+  end
 
 (* A query attempt reached a terminal drop.  Only the newest attempt's
    fate finalizes the request: explicit drops of superseded attempts are
@@ -934,7 +933,7 @@ let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
   | Some a -> Engine.add_observer t.engine ~every:config.Config.audit_every (fun () -> audit_pass t a)
   | None -> ());
   (* Per-server probe series on the engine-observer cadence: raw load,
-     queue depth, replica count, cache hit rate.  Pure reads — consumes no
+     queue depth, replica count.  Pure reads — consumes no
      randomness and schedules nothing, so the event order is untouched. *)
   if Obs.counters_on obs then
     Engine.add_observer t.engine ~every:(Obs.probe_every obs) (fun () ->
@@ -948,7 +947,6 @@ let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
                   p_load = Load_meter.raw_load s.Server.load time;
                   p_queue = Queue.length s.Server.queue;
                   p_replicas = s.Server.replica_count;
-                  p_hit_rate = Cache.hit_rate s.Server.cache;
                 })
           t.servers);
   (* Bootstrap ownership and per-node routing contexts. *)

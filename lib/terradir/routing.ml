@@ -10,28 +10,12 @@ type decision =
 
 type candidate = { c_node : node_id; c_dist : int; c_from_cache : bool }
 
-(* Scan the knowledge set, collecting candidates sorted by distance.  The
-   scan covers tree-neighbors of hosted nodes (the neighbor_maps table is
-   exactly that set) and cached nodes.  Hosted nodes themselves need no
-   entry: for any hosted [n] other than [dst], some tree-neighbor of [n] is
-   strictly closer to [dst], and all such neighbors are in the table. *)
-let candidates (s : Server.t) ~dst =
-  let acc = ref [] in
-  (* lint: ordered every collected candidate goes through the total (dist, node) sort below *)
-  Hashtbl.iter
-    (fun node (r : Server.neighbor_ref) ->
-      if not (Node_map.is_empty r.n_map) then
-        acc := { c_node = node; c_dist = Tree.distance s.tree node dst; c_from_cache = false } :: !acc)
-    s.neighbor_maps;
-  Cache.iter s.cache ~f:(fun node map ->
-      if not (Node_map.is_empty map) then
-        acc := { c_node = node; c_dist = Tree.distance s.tree node dst; c_from_cache = true } :: !acc);
-  List.sort
-    (fun a b ->
-      match Int.compare a.c_dist b.c_dist with 0 -> Int.compare a.c_node b.c_node | c -> c)
-    !acc
-
-(* Allocation-free fast path returning only the minimum candidate.
+(* The candidate scan: the nearest known node to [dst] under the total
+   (distance, node) order, without building a candidate list.  The
+   knowledge set is the tree-neighbors of hosted nodes (the neighbor_maps
+   table) plus the cached nodes; hosted nodes themselves are never
+   candidates, since for hosted [h] ≠ dst some neighbor of [h] is strictly
+   closer to [dst].
 
    Instead of scanning all tree-neighbors of hosted nodes, scan the hosted
    nodes themselves: for hosted [h] ≠ dst, the neighbor of [h] nearest to
@@ -136,25 +120,6 @@ let select_server (s : Server.t) node map =
   | Some _ as r -> r
   | None -> Node_map.random_server ~exclude:s.id map s.rng
 
-let forward_via ?oracle (s : Server.t) c =
-  let map =
-    match oracle with
-    | Some truth ->
-      (* Perfect accuracy: select among the node's actual current hosts.
-         Local state is still touched so demand accounting matches. *)
-      if c.c_from_cache then ignore (Cache.use s.cache ~node:c.c_node);
-      let m = truth c.c_node in
-      if Node_map.is_empty m then None else Some m
-    | None ->
-      if c.c_from_cache then Cache.use s.cache ~node:c.c_node else Server.neighbor_map s c.c_node
-  in
-  match map with
-  | None -> None
-  | Some map -> (
-    match select_server s c.c_node map with
-    | Some to_server -> Some (Forward { via_node = c.c_node; to_server; shortcut = false })
-    | None -> None)
-
 let decide ?(shortcut_bound = max_int) ?oracle (s : Server.t) ~dst =
   if Server.hosts s dst then Resolve
   else begin
@@ -164,24 +129,34 @@ let decide ?(shortcut_bound = max_int) ?oracle (s : Server.t) ~dst =
       if oracle <> None then None
       else digest_shortcut s ~dst ~better_than:(min best_dist shortcut_bound)
     in
-    match shortcut with
-    | Some (via_node, to_server, _) ->
+    match (shortcut, best) with
+    | Some (via_node, to_server, _), _ ->
       if Obs.full_on s.Server.obs then
         (* lint: obs-in-hot-path gated on the full level; null-sink cost is one branch *)
         Obs.record s.Server.obs ~server:s.Server.id
           (Event.Digest_shortcut { node = via_node; to_server });
       Forward { via_node; to_server; shortcut = true }
-    | None -> (
-      (* Fast path: the nearest candidate almost always yields a server;
-         fall back to the full nearest-first scan when it does not. *)
-      match Option.bind best (forward_via ?oracle s) with
-      | Some decision -> decision
-      | None ->
-        let rec attempt = function
-          | [] -> Dead_end
-          | c :: rest -> (
-            match forward_via ?oracle s c with Some decision -> decision | None -> attempt rest)
-        in
-        attempt (candidates s ~dst)
-      )
+    | None, None -> Dead_end
+    | None, Some c -> (
+      (* Forward via the nearest candidate only; if its map names no server
+         but this one, the step is stuck and the caller escapes via the
+         root contact. *)
+      let map =
+        match oracle with
+        | Some truth ->
+          (* Perfect accuracy: select among the node's actual current hosts.
+             Local state is still touched so demand accounting matches. *)
+          if c.c_from_cache then ignore (Cache.use s.cache ~node:c.c_node);
+          let m = truth c.c_node in
+          if Node_map.is_empty m then None else Some m
+        | None ->
+          if c.c_from_cache then Cache.use s.cache ~node:c.c_node
+          else Server.neighbor_map s c.c_node
+      in
+      match map with
+      | None -> Dead_end
+      | Some map -> (
+        match select_server s c.c_node map with
+        | Some to_server -> Forward { via_node = c.c_node; to_server; shortcut = false }
+        | None -> Dead_end))
   end

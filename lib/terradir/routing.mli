@@ -22,7 +22,9 @@ type decision =
   | Forward of { via_node : node_id; to_server : server_id; shortcut : bool }
       (** forward on behalf of [via_node] to [to_server]; [shortcut] marks a
           digest-discovered hop *)
-  | Dead_end  (** no usable forwarding candidate *)
+  | Dead_end
+      (** stuck: no known candidate, or the nearest one's map names no
+          server but this one *)
 
 val decide :
   ?shortcut_bound:int ->
@@ -32,6 +34,11 @@ val decide :
   decision
 (** One routing step at this server.  Reads (and, for the chosen cache
     entry, touches) server state; never mutates maps or sends messages.
+    The step forwards via the single nearest known node under the total
+    (distance, node) order, or a digest shortcut closer still; it never
+    tries a farther candidate, so a nearest candidate that cannot be
+    forwarded to yields [Dead_end] (the cluster then escapes via the root
+    contact).
     [shortcut_bound] (default unlimited) caps the namespace distance a
     digest shortcut may target — callers pass the query's best distance so
     far, making shortcut chains strictly decreasing (two servers with

@@ -28,7 +28,7 @@ type t = {
   dst : node_id;
   steps : step list;
   outcome : [ `Resolved of server_id | `Dead_end of server_id | `Diverged ];
-      (** [`Diverged]: exceeded the namespace diameter without resolving
+      (** [`Diverged]: exceeded the cluster's hop budget without resolving
           (possible only under stale state) *)
 }
 

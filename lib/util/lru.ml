@@ -27,8 +27,6 @@ type 'a t = {
   idx : int array; (* open addressing: slot + 1, 0 = empty, -1 = tombstone *)
   idx_mask : int;
   mutable idx_tombs : int;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 (* Fibonacci-style multiplicative scramble of an int key; keys here are
@@ -58,8 +56,6 @@ let create ~capacity =
     idx = Array.make table 0;
     idx_mask = table - 1;
     idx_tombs = 0;
-    hits = 0;
-    misses = 0;
   }
 
 let capacity t = t.capacity
@@ -138,11 +134,8 @@ let promote t slot =
 
 let find t k =
   match find_slot t k with
-  | -1 ->
-    t.misses <- t.misses + 1;
-    None
+  | -1 -> None
   | slot ->
-    t.hits <- t.hits + 1;
     promote t slot;
     Some t.vals.(slot)
 
@@ -206,14 +199,6 @@ let fold_until t ~init ~f =
 let iter t ~f = fold t ~init:() ~f:(fun () k v -> f k v)
 
 let keys_mru_order t = List.rev (fold t ~init:[] ~f:(fun acc k _ -> k :: acc))
-
-let hits t = t.hits
-
-let misses t = t.misses
-
-let hit_rate t =
-  let total = t.hits + t.misses in
-  if total = 0 then 0.0 else float_of_int t.hits /. float_of_int total
 
 let clear t =
   Array.fill t.idx 0 (Array.length t.idx) 0;

@@ -16,8 +16,7 @@ let test_insert_use () =
   Alcotest.(check (option Alcotest.reject)) "miss"
     None
     (Option.map (fun _ -> assert false) (Cache.use c ~node:99));
-  Alcotest.(check int) "hits" 1 (Cache.hits c);
-  Alcotest.(check int) "misses" 1 (Cache.misses c)
+  Alcotest.(check int) "a miss is not a hit" 1 (Cache.hits c)
 
 let test_insert_merges () =
   let c = mk () in

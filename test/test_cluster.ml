@@ -120,6 +120,27 @@ let test_seed_sensitivity () =
   in
   Alcotest.(check bool) "different seeds change the trajectory" true (run 1 <> run 2)
 
+(* A server that owns nothing and has lost its cache (the state
+   bounce-pruning can leave) knows no candidate at all: routing dead-ends,
+   and the cluster escapes via the durable root contact instead. *)
+let test_dead_end_escapes_via_root () =
+  let cluster = mk_cluster ~levels:3 () in
+  let s =
+    Array.to_list cluster.Cluster.servers |> List.find (fun s -> s.Server.owned_count = 0)
+  in
+  Cache.clear s.Server.cache;
+  let dst = 6 in
+  (match Routing.decide s ~dst with
+  | Routing.Dead_end -> ()
+  | Routing.Resolve | Routing.Forward _ -> Alcotest.fail "expected a stuck step");
+  Cluster.inject cluster ~src:s.Server.id ~dst;
+  Cluster.run_until cluster 5.0;
+  let m = Cluster.metrics cluster in
+  Alcotest.(check int) "resolved" 1 m.Metrics.resolved;
+  Alcotest.(check int) "no dead-end drop" 0 m.Metrics.dropped_dead_end;
+  Alcotest.(check bool) "root contact re-read" true
+    (Option.is_some (Cache.peek s.Server.cache ~node:Tree.root))
+
 (* ------------------------------------------------------------------ *)
 (* Failures                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -565,6 +586,7 @@ let () =
           Alcotest.test_case "placement" `Quick test_bootstrap_placement;
           Alcotest.test_case "round robin" `Quick test_round_robin_placement;
           Alcotest.test_case "injection validation" `Quick test_injection_validation;
+          Alcotest.test_case "dead end escapes via root" `Quick test_dead_end_escapes_via_root;
         ] );
       ( "lifecycle",
         [

@@ -167,7 +167,7 @@ let test_events_and_probes_csv () =
   Alcotest.(check bool) "probes csv has rows" true (lines probes > 24);
   Alcotest.(check string) "events header" "time,server,kind,qid,detail"
     (List.hd (String.split_on_char '\n' events));
-  Alcotest.(check string) "probes header" "time,server,load,queue_depth,replicas,cache_hit_rate"
+  Alcotest.(check string) "probes header" "time,server,load,queue_depth,replicas"
     (List.hd (String.split_on_char '\n' probes))
 
 (* ---- the metrics CSV drift guard (one field-spec list) ---- *)

@@ -147,6 +147,20 @@ let test_dead_end_without_knowledge () =
   | Routing.Dead_end -> ()
   | Routing.Resolve | Routing.Forward _ -> Alcotest.fail "empty server must dead-end"
 
+(* One candidate scan: only the nearest known node is tried.  Its cache
+   entry names only this server, so the step is stuck even though a farther
+   cached node (the root) names another server. *)
+let test_dead_end_when_nearest_names_self () =
+  let s = Server.create ~id:0 ~config ~tree ~rng:(Splitmix.create 1) () in
+  let dst = 30 and parent = 14 in
+  Alcotest.(check (option int)) "parent" (Some parent) (Tree.parent tree dst);
+  Cache.insert s.Server.cache ~node:parent (Node_map.singleton ~server:0 ~stamp:1.0 ());
+  Cache.insert s.Server.cache ~node:Tree.root
+    (Node_map.singleton ~is_owner:true ~server:5 ~stamp:1.0 ());
+  match Routing.decide s ~dst with
+  | Routing.Dead_end -> ()
+  | Routing.Resolve | Routing.Forward _ -> Alcotest.fail "nearest candidate names only self"
+
 let test_prune_map_with_digests () =
   let cluster = pristine () in
   let s = Array.get cluster.Cluster.servers 0 in
@@ -214,6 +228,8 @@ let () =
           Alcotest.test_case "shortcut gated by feature" `Quick test_digest_shortcut_disabled_by_feature;
           Alcotest.test_case "shortcut strictness" `Quick test_shortcut_only_when_strictly_better;
           Alcotest.test_case "dead end" `Quick test_dead_end_without_knowledge;
+          Alcotest.test_case "dead end when nearest names self" `Quick
+            test_dead_end_when_nearest_names_self;
           Alcotest.test_case "map pruning" `Quick test_prune_map_with_digests;
           Alcotest.test_case "pruning gated" `Quick test_prune_noop_without_digests;
         ] );
