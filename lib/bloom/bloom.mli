@@ -23,14 +23,9 @@ val add : t -> int -> unit
 
 val mem : t -> int -> bool
 
-type hashed
-(** An element's precomputed hash pair — reusable across filters. *)
-
-val hash : int -> hashed
-
-val mem_hashed : t -> hashed -> bool
-(** [mem_hashed t (hash x) = mem t x]; hoists the hashing out of loops that
-    test one element against many filters. *)
+val first_mem : t array -> int -> int -> int
+(** Index of the first of [filters.(0 .. n-1)] that may contain [x], or
+    [-1]; hashes [x] once for all of them and allocates nothing. *)
 
 val cardinality_estimate : t -> float
 (** Maximum-likelihood estimate of the number of distinct insertions, from

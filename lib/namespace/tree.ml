@@ -144,13 +144,14 @@ let find_string t s = find t (Name.of_string s)
 
 let rec lift t v target_depth = if t.depth.(v) > target_depth then lift t t.parent.(v) target_depth else v
 
+(* Climb two equal-depth nodes in lockstep until they meet. *)
+let rec meet t a b = if a = b then a else meet t t.parent.(a) t.parent.(b)
+
 let lca t a b =
   check_node t a "lca";
   check_node t b "lca";
   let d = min t.depth.(a) t.depth.(b) in
-  let a = lift t a d and b = lift t b d in
-  let rec go a b = if a = b then a else go t.parent.(a) t.parent.(b) in
-  go a b
+  meet t (lift t a d) (lift t b d)
 
 let is_ancestor t a b =
   check_node t a "is_ancestor";

@@ -28,11 +28,12 @@ val length : t -> int
 val insert : t -> node:int -> Node_map.t -> unit
 (** Insert or merge-with-existing, becoming most-recently-used. *)
 
-val use : t -> node:int -> Node_map.t option
-(** Lookup {e and touch} — call when the entry is chosen for routing. *)
+val use : t -> node:int -> Node_map.t
+(** Lookup {e and touch} — call when the entry is chosen for routing.
+    Cached maps are never empty: the empty map means a miss. *)
 
-val peek : t -> node:int -> Node_map.t option
-(** Lookup without touching — call when scanning candidates. *)
+val peek : t -> node:int -> Node_map.t
+(** Lookup without touching; the empty map on a miss. *)
 
 val remove : t -> node:int -> unit
 
@@ -42,6 +43,14 @@ val update : t -> node:int -> f:(Node_map.t -> Node_map.t) -> unit
 
 val iter : t -> f:(int -> Node_map.t -> unit) -> unit
 (** Iterate entries (MRU first) without touching them. *)
+
+val first : t -> int
+
+val next : t -> int -> int
+
+val node_at : t -> int -> int
+(** {!Terradir_util.Lru.first}'s cursor over the cached nodes, MRU first,
+    without touching them. *)
 
 val hits : t -> int
 (** Lookups by {!use} and {!peek} that found an entry. *)

@@ -284,10 +284,10 @@ and deliver t ~to_ msg =
       Digest_store.record_remote s.Server.digests ~server:msg.msg_from
         ~version:msg.msg_digest_version bloom
     | Some _ | None -> ());
-    let queue_full () = Queue.length s.Server.queue >= t.config.Config.queue_capacity in
+    let queue_full = Queue.length s.Server.queue >= t.config.Config.queue_capacity in
     (match msg.msg_payload with
     | Query q ->
-      if queue_full () then begin
+      if queue_full then begin
         finish_dropped t q Queue_full;
         free_msg t msg
       end
@@ -299,7 +299,7 @@ and deliver t ~to_ msg =
         kick t to_
       end
     | Data_request { fetch_id; _ } ->
-      if queue_full () then begin
+      if queue_full then begin
         fetch_retry t fetch_id ~failed:to_;
         free_msg t msg
       end
@@ -467,7 +467,10 @@ and absorb_path ?(at_endpoint = false) t s q =
     && (cfg.Config.cache_policy = Config.Path_propagation || at_endpoint)
   then begin
     let time = now t in
-    path_iter q ~f:(fun node map -> Server.merge_into_known_map s node map ~now:time)
+    for i = 0 to q.path_len - 1 do
+      let j = path_slot q i in
+      Server.merge_into_known_map s q.path_nodes.(j) q.path_maps.(j) ~now:time
+    done
   end
 
 and append_path_entry t s q =
@@ -555,14 +558,13 @@ and process_query ?from t s q =
 and root_escape t s q =
   reseed_root_contact t s
   &&
-  match Cache.use s.Server.cache ~node:Tree.root with
-  | None -> false
-  | Some map -> (
-    match Node_map.random_server ~exclude:s.Server.id map s.Server.rng with
-    | None -> false
-    | Some to_server ->
-      forward_query t s q ~via_node:Tree.root ~to_server ~shortcut:false;
-      true)
+  let map = Cache.use s.Server.cache ~node:Tree.root in
+  let to_server = Node_map.random_server ~exclude:s.Server.id map s.Server.rng in
+  to_server >= 0
+  && begin
+    forward_query t s q ~via_node:Tree.root ~to_server ~shortcut:false;
+    true
+  end
 
 and forward_query t s q ~via_node ~to_server ~shortcut =
   if shortcut then begin

@@ -37,22 +37,29 @@ let rebuild_local_from t ~count ~iter =
 let rebuild_local t ~hosted =
   rebuild_local_from t ~count:(List.length hosted) ~iter:(fun add -> List.iter add hosted)
 
+(* Stands in for a missing remote digest, so lookups need no option. *)
+let absent = { bloom = Bloom.create ~expected:1 (); version = min_int }
+
 let record_remote t ~server ~version bloom =
-  match Lru.peek t.remotes server with
-  | Some r when r.version >= version -> ()
-  | Some _ | None -> Lru.put t.remotes server { bloom; version }
+  if (Lru.peek t.remotes server ~default:absent).version < version then
+    Lru.put t.remotes server { bloom; version }
 
-let remote_version t ~server = Option.map (fun r -> r.version) (Lru.peek t.remotes server)
-
-let test_remote t ~server ~node =
+let denies t ~server ~node =
   (* [find] rather than [peek]: a consulted digest is useful state, keep it
      warm in the LRU. *)
-  Option.map (fun r -> Bloom.mem r.bloom node) (Lru.find t.remotes server)
+  let r = Lru.find t.remotes server ~default:absent in
+  r != absent && not (Bloom.mem r.bloom node)
 
-let fold_remote t ~init ~f = Lru.fold t.remotes ~init ~f:(fun acc server r -> f acc server r.bloom)
+let rec copy_from remotes ~skip servers blooms n slot =
+  if slot < 0 || n >= Array.length servers then n
+  else if Lru.key remotes slot = skip then copy_from remotes ~skip servers blooms n (Lru.next remotes slot)
+  else begin
+    servers.(n) <- Lru.key remotes slot;
+    blooms.(n) <- (Lru.value remotes slot).bloom;
+    copy_from remotes ~skip servers blooms (n + 1) (Lru.next remotes slot)
+  end
 
-let fold_remote_until t ~init ~f =
-  Lru.fold_until t.remotes ~init ~f:(fun acc server r -> f acc server r.bloom)
+let copy_mru t ~skip ~servers ~blooms = copy_from t.remotes ~skip servers blooms 0 (Lru.first t.remotes)
 
 let remote_count t = Lru.length t.remotes
 

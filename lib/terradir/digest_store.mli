@@ -27,24 +27,16 @@ val rebuild_local_from : t -> count:int -> iter:((int -> unit) -> unit) -> unit
 val record_remote : t -> server:int -> version:int -> Terradir_bloom.Bloom.t -> unit
 (** Keep the digest if its version is newer than what is stored. *)
 
-val remote_version : t -> server:int -> int option
+val denies : t -> server:int -> node:int -> bool
+(** Whether server [server]'s stored digest rules out its hosting [node]
+    — authoritative, as digests have no false negatives.  [false] when no
+    digest for [server] is held.  A consulted digest becomes the most
+    recently used. *)
 
-val test_remote : t -> server:int -> node:int -> bool option
-(** [Some answer] from server [server]'s stored digest; [None] when no
-    digest for that server is held. *)
-
-val fold_remote : t -> init:'a -> f:('a -> int -> Terradir_bloom.Bloom.t -> 'a) -> 'a
-(** Fold over (server, digest) pairs currently held. *)
-
-val fold_remote_until :
-  t ->
-  init:'a ->
-  f:('a -> int -> Terradir_bloom.Bloom.t -> ('a, 'a) Either.t) ->
-  'a
-(** Like {!fold_remote} in MRU-first order, but [f] answering [Right acc]
-    stops the walk.  The routing shortcut consults only a short MRU prefix
-    on every decision; walking the whole store there dominated large
-    deployments' event cost. *)
+val copy_mru : t -> skip:int -> servers:int array -> blooms:Terradir_bloom.Bloom.t array -> int
+(** Copy the most recently used remote digests but [skip]'s into
+    [servers]/[blooms] until full, without promoting; returns the count
+    (the routing shortcut consults only this prefix). *)
 
 val remote_count : t -> int
 

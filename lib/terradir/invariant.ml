@@ -135,6 +135,8 @@ let check_map t ~now ~server ~r_map ~what node map =
              e.Node_map.server e.Node_map.stamp now))
     (Node_map.entries map)
 
+let rec in_prefix a n x = n > 0 && (a.(n - 1) = x || in_prefix a (n - 1) x)
+
 (* Every per-server invariant from the catalogue.  The hashtable walks are
    order-insensitive: each key is checked independently and counters are
    commutative sums. *)
@@ -177,7 +179,9 @@ let check_server t ~now (s : Server.t) =
         (Tree.neighbors s.Server.tree node);
       if not (Bloom.mem (Digest_store.local s.Server.digests) node) then
         add t ~now ~server "digest-stale"
-          (Printf.sprintf "local digest denies hosted node %d (Bloom false negative)" node))
+          (Printf.sprintf "local digest denies hosted node %d (Bloom false negative)" node);
+      if not (in_prefix s.Server.hosted_ids (Hashtbl.length s.Server.hosted) node) then
+        add t ~now ~server "hosted-ids" (Printf.sprintf "hosted node %d is not in hosted_ids" node))
     s.Server.hosted;
   if !owned <> s.Server.owned_count then
     add t ~now ~server "count-mismatch"
@@ -235,6 +239,8 @@ let check_server t ~now (s : Server.t) =
       (Printf.sprintf "cache holds %d entries > %d slots" (Cache.length s.Server.cache)
          (Cache.slots s.Server.cache));
   Cache.iter s.Server.cache ~f:(fun node map ->
+      if Node_map.is_empty map then
+        add t ~now ~server "cache-empty" (Printf.sprintf "cached map for node %d is empty" node);
       check_map t ~now ~server ~r_map ~what:"cached" node map);
   (* Load meter: busy fractions are fractions. *)
   let raw = Load_meter.raw_load s.Server.load now in

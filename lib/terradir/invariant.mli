@@ -20,13 +20,15 @@
     - {b stamp-future}: no map entry is stamped later than the current
       simulation time (causality of creation/refresh stamps);
     - {b cache-bound}: LRU occupancy within [cache_slots];
+    - {b cache-empty}: no cached map is empty (a cache miss reads as the
+      empty map, and routing scans cached nodes without their maps);
     - {b load-range}: measured busy fractions lie in [0, 1];
     - {b digest-stale} (§3.6): the local Bloom digest has no false
       negatives over the hosted set;
     - {b queue-bound} (§4.1): query queues within [queue_capacity];
-    - {b count-mismatch} / {b context-missing} / {b context-refs}: cached
-      counters and refcounted neighbor contexts tie exactly to the hosted
-      table;
+    - {b count-mismatch} / {b hosted-ids} / {b context-missing} /
+      {b context-refs}: cached counters, the routing scan's id array and
+      refcounted neighbor contexts tie exactly to the hosted table;
     - {b owner-missing} (cluster-wide): every node's ground-truth owner
       hosts it as owned;
     - {b clock-regression} / {b event-queue-order} (engine): simulation

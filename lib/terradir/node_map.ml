@@ -33,16 +33,15 @@ let entries t =
 
 let servers t = List.init (size t) (fun i -> row_server t i)
 
-let mem t s =
-  let n = size t in
-  let rec go i = i < n && (row_server t i = s || go (i + 1)) in
-  go 0
+let rec mem_from t s i = i < size t && (row_server t i = s || mem_from t s (i + 1))
+
+let mem t s = mem_from t s 0
 
 let owner t = if size t > 0 && row_owner t 0 then Some (row_server t 0) else None
 
 (* Owners first; ties broken newest-first, then by server id for
    determinism.  Compares packed rows: negative when row a sorts first. *)
-let order_rows na sa nb sb =
+let[@inline] order_rows na sa nb sb =
   match ((nb land 1, na land 1) : int * int) with
   | 1, 0 -> 1
   | 0, 1 -> -1
@@ -82,41 +81,54 @@ let ensure sc n =
 
 let sc_or = function Some sc -> sc | None -> scratch ()
 
-(* Fold one packed row into scratch rows [0 .. !len): combine with any
-   existing row for the same server (newest stamp wins, owner flag is
-   sticky), then place the result at its unique sort position.  Mirrors
-   the historical [add_entry] list fold, shift for shift. *)
-let insert_row sc len nrow srow =
+(* Fold the packed row [nrow], its stamp staged at [sc_stamp.(n)], into
+   scratch rows [0 .. n): combine with any existing row for the same server
+   (newest stamp wins, owner flag is sticky), then place the result at its
+   unique sort position; returns the new row count.  Mirrors the historical
+   [add_entry] list fold, shift for shift, with the stamp an unboxed local. *)
+let insert_row sc n nrow =
   let ns = sc.sc_ns and stamp = sc.sc_stamp in
   let server = nrow lsr 1 in
-  let nrow = ref nrow and srow = ref srow in
+  let nrow = ref nrow and srow = ref (Float.Array.get stamp n) and n = ref n in
   (* Strip an existing row for the same server, combining into the new. *)
-  let n = !len in
-  let rec strip i =
-    if i < n then
-      if ns.(i) lsr 1 = server then begin
-        nrow := !nrow lor (ns.(i) land 1);
-        srow := Float.max (Float.Array.get stamp i) !srow;
-        for j = i to n - 2 do
-          ns.(j) <- ns.(j + 1);
-          Float.Array.set stamp j (Float.Array.get stamp (j + 1))
-        done;
-        len := n - 1
-      end
-      else strip (i + 1)
-  in
-  strip 0;
+  let i = ref 0 in
+  while !i < !n && ns.(!i) lsr 1 <> server do
+    incr i
+  done;
+  if !i < !n then begin
+    nrow := !nrow lor (ns.(!i) land 1);
+    srow := Float.max (Float.Array.get stamp !i) !srow;
+    for j = !i to !n - 2 do
+      ns.(j) <- ns.(j + 1);
+      Float.Array.set stamp j (Float.Array.get stamp (j + 1))
+    done;
+    decr n
+  end;
   (* Sorted insertion: before the first row it does not sort after. *)
-  let n = !len in
-  let rec pos i = if i >= n then i else if order_rows !nrow !srow ns.(i) (Float.Array.get stamp i) <= 0 then i else pos (i + 1) in
-  let at = pos 0 in
-  for j = n downto at + 1 do
+  let at = ref 0 in
+  while !at < !n && order_rows !nrow !srow ns.(!at) (Float.Array.get stamp !at) > 0 do
+    incr at
+  done;
+  for j = !n downto !at + 1 do
     ns.(j) <- ns.(j - 1);
     Float.Array.set stamp j (Float.Array.get stamp (j - 1))
   done;
-  ns.(at) <- !nrow;
-  Float.Array.set stamp at !srow;
-  len := n + 1
+  ns.(!at) <- !nrow;
+  Float.Array.set stamp !at !srow;
+  !n + 1
+
+(* Stage [e]'s stamp past rows [0 .. n) and insert it. *)
+let insert_entry sc n (e : entry) =
+  Float.Array.set sc.sc_stamp n e.stamp;
+  insert_row sc n (pack ~server:e.server ~is_owner:e.is_owner)
+
+let rec insert_entries sc n = function [] -> n | e :: rest -> insert_entries sc (insert_entry sc n e) rest
+
+(* The scratch row holding [server] (which must be present). *)
+let rec row_of sc server i = if sc.sc_ns.(i) lsr 1 = server then i else row_of sc server (i + 1)
+
+(* The number of owner rows leading scratch rows [0 .. total). *)
+let rec owner_prefix sc total i = if i < total && sc.sc_ns.(i) land 1 <> 0 then owner_prefix sc total (i + 1) else i
 
 (* Materialize scratch rows [0 .. n) as an immutable map. *)
 let of_scratch sc n =
@@ -145,11 +157,7 @@ let of_entries ?scratch ~max entries =
   if max < 1 then invalid_arg "Node_map.of_entries: max must be >= 1";
   let sc = sc_or scratch in
   ensure sc (List.length entries);
-  let len = ref 0 in
-  List.iter
-    (fun e -> insert_row sc len (pack ~server:e.server ~is_owner:e.is_owner) e.stamp)
-    entries;
-  of_scratch sc (min !len max)
+  of_scratch sc (min (insert_entries sc 0 entries) max)
 
 let truncate ~max t =
   if max < 1 then invalid_arg "Node_map.truncate: max must be >= 1";
@@ -163,9 +171,7 @@ let add ?scratch ~max t entry =
   if max < 1 then invalid_arg "Node_map.of_entries: max must be >= 1";
   let sc = sc_or scratch in
   ensure sc (size t + 1);
-  let len = ref (load_scratch sc t) in
-  insert_row sc len (pack ~server:entry.server ~is_owner:entry.is_owner) entry.stamp;
-  of_scratch sc (min !len max)
+  of_scratch sc (min (insert_entry sc (load_scratch sc t) entry) max)
 
 (* [add] with a survival guarantee: the added server's entry is never
    truncated out.  Needed for a host's own entry — the map a host
@@ -181,18 +187,12 @@ let add_pinned ?scratch ~max t entry =
   if max < 1 then invalid_arg "Node_map.add_pinned: max must be >= 1";
   let sc = sc_or scratch in
   ensure sc (size t + 1);
-  let len = ref (load_scratch sc t) in
-  insert_row sc len (pack ~server:entry.server ~is_owner:entry.is_owner) entry.stamp;
-  let kept = min !len max in
-  let in_kept =
-    let rec go i = i < kept && (sc.sc_ns.(i) lsr 1 = entry.server || go (i + 1)) in
-    go 0
-  in
-  if (not in_kept) && not (sc.sc_ns.(kept - 1) land 1 <> 0) then begin
+  let len = insert_entry sc (load_scratch sc t) entry in
+  let kept = min len max in
+  let p = row_of sc entry.server 0 in
+  if p >= kept && sc.sc_ns.(kept - 1) land 1 = 0 then begin
     (* Refetch from the combined rows: owner stickiness and stamp max may
        have merged [entry] with an existing one. *)
-    let rec pinned i = if sc.sc_ns.(i) lsr 1 = entry.server then i else pinned (i + 1) in
-    let p = pinned kept in
     sc.sc_ns.(kept - 1) <- sc.sc_ns.(p);
     Float.Array.set sc.sc_stamp (kept - 1) (Float.Array.get sc.sc_stamp p)
   end;
@@ -224,20 +224,23 @@ let remove t s =
    avoid reallocating stored maps. *)
 let subsumes a b =
   let na = size a and nb = size b in
-  let rec all i =
-    i >= nb
-    ||
-    let sb = row_server b i in
-    let rec found j =
-      j < na
-      && ((row_server a j = sb
-           && row_stamp a j >= row_stamp b i
-           && (row_owner a j || not (row_owner b i)))
-         || found (j + 1))
-    in
-    found 0 && all (i + 1)
-  in
-  all 0
+  let all = ref true and i = ref 0 in
+  while !all && !i < nb do
+    let sb = row_server b !i in
+    let j = ref 0 in
+    while
+      !j < na
+      && not
+           (row_server a !j = sb
+           && row_stamp a !j >= row_stamp b !i
+           && (row_owner a !j || not (row_owner b !i)))
+    do
+      incr j
+    done;
+    all := !j < na;
+    incr i
+  done;
+  !all
 
 let merge ?scratch ~max rng a b =
   if max < 1 then invalid_arg "Node_map.merge: max must be >= 1";
@@ -248,15 +251,13 @@ let merge ?scratch ~max rng a b =
     (* Both inputs are sorted and deduped (the representation invariant),
        so folding [b] into [a] yields the combined set already in sorted
        order — owners form a prefix, the rest is newest-first. *)
-    let len = ref (load_scratch sc a) in
+    let total = ref (load_scratch sc a) in
     for i = 0 to size b - 1 do
-      insert_row sc len b.ns.(i) (row_stamp b i)
+      Float.Array.set sc.sc_stamp !total (row_stamp b i);
+      total := insert_row sc !total b.ns.(i)
     done;
-    let total = !len in
-    let owners_total =
-      let rec go i = if i < total && sc.sc_ns.(i) land 1 <> 0 then go (i + 1) else i in
-      go 0
-    in
+    let total = !total in
+    let owners_total = owner_prefix sc total 0 in
     let owners = min owners_total max in
     let slots = max - owners in
     if slots <= 0 then of_scratch sc owners
@@ -298,19 +299,12 @@ let merge ?scratch ~max rng a b =
       let out = owners + newest + !picked in
       let ns = Array.make out 0 and stamp = Float.Array.create out in
       let j = ref 0 in
-      let emit i =
-        ns.(!j) <- sc.sc_ns.(i);
-        Float.Array.set stamp !j (Float.Array.get sc.sc_stamp i);
-        incr j
-      in
-      for i = 0 to owners - 1 do
-        emit i
-      done;
-      for i = owners_total to rem_start - 1 do
-        emit i
-      done;
-      for i = rem_start to total - 1 do
-        if sc.sc_keep.(i) then emit i
+      for i = 0 to total - 1 do
+        if i < owners || (i >= owners_total && (i < rem_start || sc.sc_keep.(i))) then begin
+          ns.(!j) <- sc.sc_ns.(i);
+          Float.Array.set stamp !j (Float.Array.get sc.sc_stamp i);
+          incr j
+        end
       done;
       { ns; stamp }
     end
@@ -347,26 +341,20 @@ let filter t ~f =
 
 (* Count-then-walk: one draw on the eligible count, none when empty, so
    RNG consumption matches every historical trajectory. *)
-let random_server ?exclude t rng =
+let random_server ~exclude t rng =
   let n = size t in
-  let excluded s = match exclude with Some x -> s = x | None -> false in
   let count = ref 0 in
   for i = 0 to n - 1 do
-    if not (excluded (row_server t i)) then incr count
+    if row_server t i <> exclude then incr count
   done;
-  if !count = 0 then None
+  if !count = 0 then -1
   else begin
-    let want = ref (Splitmix.int rng !count) in
-    let found = ref (-1) in
-    let i = ref 0 in
-    while !found < 0 do
-      let s = row_server t !i in
-      if not (excluded s) then begin
-        if !want = 0 then found := s else decr want
-      end;
+    let want = ref (Splitmix.int rng !count) and i = ref 0 in
+    while !want > 0 || row_server t !i = exclude do
+      if row_server t !i <> exclude then decr want;
       incr i
     done;
-    Some !found
+    row_server t !i
   end
 
 let pp fmt t =

@@ -26,7 +26,9 @@ type t
 type scratch
 (** Reusable workspace for {!of_entries}/{!add}/{!add_pinned}/{!merge}.
     Single-owner mutable state: thread one per server (or per lane), never
-    share across engine lanes.  Omitting it allocates a transient one. *)
+    share across engine lanes.  Omitting it allocates a transient one, and
+    so does [~scratch:sc] its [Some]: hot paths keep the option built once
+    and pass [?scratch]. *)
 
 val scratch : unit -> scratch
 
@@ -49,6 +51,11 @@ val entries : t -> entry list
 val servers : t -> int list
 
 val size : t -> int
+
+val row_server : t -> int -> int
+
+val row_owner : t -> int -> bool
+(** The server and owner flag of the [i]th entry in {!entries} order. *)
 
 val is_empty : t -> bool
 
@@ -84,7 +91,8 @@ val filter : t -> f:(int -> bool) -> t
     exempt (map filtering is conservative and must never orphan a node).
     Returns the input map itself when nothing is pruned. *)
 
-val random_server : ?exclude:int -> t -> Terradir_util.Splitmix.t -> int option
-(** Uniform choice among entries (minus [exclude]) — replica selection. *)
+val random_server : exclude:int -> t -> Terradir_util.Splitmix.t -> int
+(** Uniform choice among entries other than server [exclude] ([-1]: none
+    excluded) — replica selection; [-1] when there is none. *)
 
 val pp : Format.formatter -> t -> unit

@@ -8,7 +8,17 @@ type decision =
   | Forward of { via_node : node_id; to_server : server_id; shortcut : bool }
   | Dead_end
 
-type candidate = { c_node : node_id; c_dist : int; c_from_cache : bool }
+(* A candidate packs (distance, node) into one int whose integer order is
+   the pair's lexicographic order (node ids stay below 2^40), with bit 0
+   marking a cache entry; [none] is larger than every candidate.  The scan
+   then keeps its running minimum in one unboxed int. *)
+let none = max_int
+
+let[@inline] candidate d node = (d lsl 41) lor (node lsl 1)
+
+let[@inline] cand_dist c = c lsr 41
+
+let[@inline] cand_node c = (c lsr 1) land ((1 lsl 40) - 1)
 
 (* The candidate scan: the nearest known node to [dst] under the total
    (distance, node) order, without building a candidate list.  The
@@ -23,39 +33,31 @@ type candidate = { c_node : node_id; c_dist : int; c_from_cache : bool }
    subtree, else the child whose subtree holds [dst] — at distance
    [distance h dst − 1].  So the best neighbor candidate overall is derived
    from the hosted node minimizing [distance h dst], at a third of the
-   scanning cost.  Cached nodes are scanned as themselves. *)
+   scanning cost.  Cached nodes are scanned as themselves (never empty:
+   see [Cache]); one replaces the neighbor candidate only when strictly
+   nearer. *)
 let best_candidate (s : Server.t) ~dst =
-  let best_hosted = ref (-1) and best_hosted_dist = ref max_int in
-  (* lint: ordered running minimum under the total (dist, node) order; any visit order yields it *)
-  Hashtbl.iter
-    (fun node (_ : Server.hosted) ->
-      let d = Tree.distance s.tree node dst in
-      if d < !best_hosted_dist || (d = !best_hosted_dist && node < !best_hosted) then begin
-        best_hosted := node;
-        best_hosted_dist := d
-      end)
-    s.hosted;
-  let best_node = ref (-1) and best_dist = ref max_int and best_cache = ref false in
-  if !best_hosted >= 0 then begin
-    let h = !best_hosted in
+  let tree = s.tree and ids = s.hosted_ids in
+  let best = ref none in
+  for i = 0 to Hashtbl.length s.hosted - 1 do
+    best := Int.min !best (candidate (Tree.distance tree ids.(i) dst) ids.(i))
+  done;
+  if !best <> none then begin
+    let h = cand_node !best in
+    let depth = Tree.depth tree h in
     let toward =
-      if Tree.is_ancestor s.tree h dst then Tree.ancestor_at_depth s.tree dst (Tree.depth s.tree h + 1)
-      else match Tree.parent s.tree h with Some p -> p | None -> assert false
+      if Tree.is_ancestor tree h dst then Tree.ancestor_at_depth tree dst (depth + 1)
+      else Tree.ancestor_at_depth tree h (depth - 1)
     in
-    best_node := toward;
-    best_dist := !best_hosted_dist - 1
+    best := candidate (cand_dist !best - 1) toward
   end;
-  Cache.iter s.cache ~f:(fun node map ->
-      if not (Node_map.is_empty map) then begin
-        let d = Tree.distance s.tree node dst in
-        if d < !best_dist || (d = !best_dist && node < !best_node) then begin
-          best_node := node;
-          best_dist := d;
-          best_cache := true
-        end
-      end);
-  if !best_node < 0 then None
-  else Some { c_node = !best_node; c_dist = !best_dist; c_from_cache = !best_cache }
+  let slot = ref (Cache.first s.cache) in
+  while !slot >= 0 do
+    let node = Cache.node_at s.cache !slot in
+    best := Int.min !best (candidate (Tree.distance tree node dst) node lor 1);
+    slot := Cache.next s.cache !slot
+  done;
+  !best
 
 let max_shortcut_walk = 6
 (* Ancestors of dst tested per step.  A shortcut farther out is still a
@@ -63,100 +65,101 @@ let max_shortcut_walk = 6
    another chance to find it next step; bounding the walk bounds both the
    per-step cost and the false-positive exposure. *)
 
-(* §3.6.1: walk dst's ancestor chain from dst upward (distance 0, 1, ...)
-   and stop as soon as the chain distance reaches the best conventional
-   candidate — a digest hit beyond that point cannot improve the route. *)
-let digest_shortcut (s : Server.t) ~dst ~better_than =
-  let limit = min better_than max_shortcut_walk in
-  if (not s.config.Config.features.Config.digests) || limit <= 0 then None
+(* Digest pruning (§3.6.2) fused with replica selection: draw uniformly
+   among the rows of [map] that no held digest denies (owner rows are never
+   pruned) and that name another server; when none does, draw from the raw
+   map instead — pruning is best-effort and must not strand the query.
+   Allocates nothing; draws and digest promotions are those of the
+   historical filter-then-draw (DESIGN §16). *)
+let denied (s : Server.t) node map i =
+  (not (Node_map.row_owner map i))
+  && Digest_store.denies s.digests ~server:(Node_map.row_server map i) ~node
+
+let select_server (s : Server.t) node map =
+  let n = Node_map.size map in
+  let pruned = ref 0 and eligible = ref 0 in
+  if s.config.Config.features.Config.digests then
+    for i = 0 to n - 1 do
+      if denied s node map i then incr pruned
+      else if Node_map.row_server map i <> s.id then incr eligible
+    done;
+  if !pruned > 0 && Obs.full_on s.obs then
+    (* lint: obs-in-hot-path gated on the full level; pure count readout *)
+    Obs.record s.obs ~server:s.id (Event.Digest_prune { removed = !pruned });
+  if !pruned = 0 || !eligible = 0 then Node_map.random_server ~exclude:s.id map s.rng
   else begin
-    (* Collect the MRU-first prefix of remote digests into the server's
-       scratch arrays — no tuples, cons cells, or reversal on the hot
-       path, and the walk STOPS at the prefix: this runs on every routing
-       decision, and folding the whole store (up to [max_remote_digests]
-       entries) here was the dominant per-event cost at large server
-       counts. *)
-    let servers = s.Server.digest_scratch_servers in
-    let blooms = s.Server.digest_scratch_blooms in
-    let cap = Array.length servers in
-    let count =
-      Digest_store.fold_remote_until s.digests ~init:0 ~f:(fun n server bloom ->
-          if n >= cap then Either.Right n
-          else if server = s.id then Either.Left n
-          else begin
-            servers.(n) <- server;
-            blooms.(n) <- bloom;
-            Either.Left (n + 1)
-          end)
-    in
-    if count = 0 then None
-    else
-      let find_hit h =
-        (* First hit in MRU order, matching the historical consultation
-           order of the consulted list. *)
-        let rec go i = if i >= count then -1 else if Terradir_bloom.Bloom.mem_hashed blooms.(i) h then i else go (i + 1) in
-        go 0
-      in
-      let rec walk node dist =
-        if dist >= limit then None
-        else begin
-          let h = Terradir_bloom.Bloom.hash node in
-          let i = find_hit h in
-          if i >= 0 then Some (node, servers.(i), dist)
-          else
-            match Tree.parent s.tree node with
-            | Some p -> walk p (dist + 1)
-            | None -> None
-        end
-      in
-      walk dst 0
+    let want = ref (Terradir_util.Splitmix.int s.rng !eligible) and pick = ref (-1) in
+    (* Every row, past the pick too: the old filter re-consulted them all. *)
+    for i = 0 to n - 1 do
+      if (not (denied s node map i)) && Node_map.row_server map i <> s.id then begin
+        if !want = 0 && !pick < 0 then pick := Node_map.row_server map i;
+        decr want
+      end
+    done;
+    !pick
   end
 
-(* Pick a server from the candidate node's map: digest-pruned first, raw as
-   fallback (pruning is best-effort and must not strand the query). *)
-let select_server (s : Server.t) node map =
-  let pruned = Server.prune_map_with_digests s node map in
-  match Node_map.random_server ~exclude:s.id pruned s.rng with
-  | Some _ as r -> r
-  | None -> Node_map.random_server ~exclude:s.id map s.rng
+(* Forward via the nearest candidate only; if its map names no server but
+   this one, the step is stuck and the caller escapes via the root
+   contact. *)
+let via_candidate (s : Server.t) ~oracle best =
+  if best = none then Dead_end
+  else begin
+    let node = cand_node best and from_cache = best land 1 = 1 in
+    let map =
+      match oracle with
+      | Some truth ->
+        (* Perfect accuracy: select among the node's actual current hosts.
+           Local state is still touched so demand accounting matches. *)
+        if from_cache then ignore (Cache.use s.cache ~node);
+        truth node
+      | None -> (
+        if from_cache then Cache.use s.cache ~node
+        else
+          match Hashtbl.find s.neighbor_maps node with
+          | r -> r.Server.n_map
+          | exception Not_found -> Node_map.empty)
+    in
+    let to_server = select_server s node map in
+    if to_server < 0 then Dead_end else Forward { via_node = node; to_server; shortcut = false }
+  end
+
+(* §3.6.1: walk dst's ancestor chain from dst upward (distance 0, 1, ...)
+   against the [count] consulted digests, and stop as soon as the chain
+   distance reaches [limit] — a digest hit beyond the best conventional
+   candidate cannot improve the route.  Without a hit the step falls back
+   to that candidate. *)
+let rec shortcut_walk (s : Server.t) ~count ~limit best node dist =
+  if dist >= limit then via_candidate s ~oracle:None best
+  else
+    (* First hit in MRU order, matching the historical consultation order. *)
+    let i = Terradir_bloom.Bloom.first_mem s.digest_scratch_blooms count node in
+    if i >= 0 then begin
+      let to_server = s.digest_scratch_servers.(i) in
+      if Obs.full_on s.obs then
+        (* lint: obs-in-hot-path gated on the full level; null-sink cost is one branch *)
+        Obs.record s.obs ~server:s.id (Event.Digest_shortcut { node; to_server });
+      Forward { via_node = node; to_server; shortcut = true }
+    end
+    else
+      let depth = Tree.depth s.tree node in
+      if depth = 0 then via_candidate s ~oracle:None best
+      else shortcut_walk s ~count ~limit best (Tree.ancestor_at_depth s.tree node (depth - 1)) (dist + 1)
 
 let decide ?(shortcut_bound = max_int) ?oracle (s : Server.t) ~dst =
   if Server.hosts s dst then Resolve
   else begin
     let best = best_candidate s ~dst in
-    let best_dist = match best with Some c -> c.c_dist | None -> max_int in
-    let shortcut =
-      if oracle <> None then None
-      else digest_shortcut s ~dst ~better_than:(min best_dist shortcut_bound)
-    in
-    match (shortcut, best) with
-    | Some (via_node, to_server, _), _ ->
-      if Obs.full_on s.Server.obs then
-        (* lint: obs-in-hot-path gated on the full level; null-sink cost is one branch *)
-        Obs.record s.Server.obs ~server:s.Server.id
-          (Event.Digest_shortcut { node = via_node; to_server });
-      Forward { via_node; to_server; shortcut = true }
-    | None, None -> Dead_end
-    | None, Some c -> (
-      (* Forward via the nearest candidate only; if its map names no server
-         but this one, the step is stuck and the caller escapes via the
-         root contact. *)
-      let map =
-        match oracle with
-        | Some truth ->
-          (* Perfect accuracy: select among the node's actual current hosts.
-             Local state is still touched so demand accounting matches. *)
-          if c.c_from_cache then ignore (Cache.use s.cache ~node:c.c_node);
-          let m = truth c.c_node in
-          if Node_map.is_empty m then None else Some m
-        | None ->
-          if c.c_from_cache then Cache.use s.cache ~node:c.c_node
-          else Server.neighbor_map s c.c_node
+    let best_dist = if best = none then max_int else cand_dist best in
+    let limit = Int.min (Int.min best_dist shortcut_bound) max_shortcut_walk in
+    if Option.is_some oracle || (not s.config.Config.features.Config.digests) || limit <= 0 then
+      via_candidate s ~oracle best
+    else
+      (* Consult the MRU-first prefix of remote digests, copied into the
+         server's scratch arrays: the walk stops at the prefix. *)
+      let count =
+        Digest_store.copy_mru s.digests ~skip:s.id ~servers:s.digest_scratch_servers
+          ~blooms:s.digest_scratch_blooms
       in
-      match map with
-      | None -> Dead_end
-      | Some map -> (
-        match select_server s c.c_node map with
-        | Some to_server -> Forward { via_node = c.c_node; to_server; shortcut = false }
-        | None -> Dead_end))
+      if count = 0 then via_candidate s ~oracle best else shortcut_walk s ~count ~limit best dst 0
   end

@@ -30,6 +30,7 @@ type t = {
   obs : Obs.t;
   speed : float;
   hosted : (node_id, hosted) Hashtbl.t;
+  mutable hosted_ids : node_id array;
   neighbor_maps : (node_id, neighbor_ref) Hashtbl.t;
   mutable owned_count : int;
   mutable replica_count : int;
@@ -37,7 +38,7 @@ type t = {
   digests : Digest_store.t;
   digest_scratch_servers : int array;
   digest_scratch_blooms : Terradir_bloom.Bloom.t array;
-  map_scratch : Node_map.scratch;
+  map_scratch : Node_map.scratch option;
   load : Load_meter.t;
   ranking : Ranking.t;
   known_loads : (server_id, float) Hashtbl.t;
@@ -66,6 +67,7 @@ let create ~id ~config ~tree ?(speed = 1.0) ?(obs = Obs.null) ~rng () =
     obs;
     speed;
     hosted = Hashtbl.create 32;
+    hosted_ids = [||];
     neighbor_maps = Hashtbl.create 64;
     owned_count = 0;
     replica_count = 0;
@@ -75,7 +77,7 @@ let create ~id ~config ~tree ?(speed = 1.0) ?(obs = Obs.null) ~rng () =
        nothing per routing step. *)
     digest_scratch_servers = Array.make max_digests_consulted 0;
     digest_scratch_blooms = Array.make max_digests_consulted (Digest_store.local digests);
-    map_scratch = Node_map.scratch ();
+    map_scratch = Some (Node_map.scratch ());
     load = Load_meter.create ~window:config.Config.load_window;
     ranking = Ranking.create ();
     known_loads = Hashtbl.create 32;
@@ -116,6 +118,22 @@ let rebuild_digest t =
     (* lint: ordered Bloom bit-sets are insertion-order independent *)
     ~iter:(fun add -> Hashtbl.iter (fun node _ -> add node) t.hosted)
 
+(* [hosted] and its key array change together: [hosted_ids.(0 .. n-1)],
+   n = [Hashtbl.length hosted], in no order.  Grown by doubling and
+   swap-removed, so setup does not leave an array behind per install. *)
+let add_hosted t node h =
+  let n = Hashtbl.length t.hosted in
+  if n = Array.length t.hosted_ids then
+    t.hosted_ids <- Array.init (max 4 (2 * n)) (fun i -> if i < n then t.hosted_ids.(i) else 0);
+  t.hosted_ids.(n) <- node;
+  Hashtbl.replace t.hosted node h
+
+let rec slot_of ids node i = if ids.(i) = node then i else slot_of ids node (i + 1)
+
+let remove_hosted t node =
+  t.hosted_ids.(slot_of t.hosted_ids node 0) <- t.hosted_ids.(Hashtbl.length t.hosted - 1);
+  Hashtbl.remove t.hosted node
+
 let neighbor_map t node =
   Option.map (fun r -> r.n_map) (Hashtbl.find_opt t.neighbor_maps node)
 
@@ -125,7 +143,7 @@ let known_map t node =
   | None -> (
     match neighbor_map t node with
     | Some _ as m -> m
-    | None -> Cache.peek t.cache ~node)
+    | None -> ( match Cache.peek t.cache ~node with m when Node_map.is_empty m -> None | m -> Some m))
 
 let r_map t = t.config.Config.r_map
 
@@ -136,7 +154,7 @@ let ref_neighbor t node map =
   | Some r ->
     r.refs <- r.refs + 1;
     if not (Node_map.is_empty map) then
-      r.n_map <- Node_map.merge ~scratch:t.map_scratch ~max:(r_map t) t.rng r.n_map map
+      r.n_map <- Node_map.merge ?scratch:t.map_scratch ~max:(r_map t) t.rng r.n_map map
   | None -> Hashtbl.add t.neighbor_maps node { n_map = map; refs = 1 }
 
 let unref_neighbor t node =
@@ -147,7 +165,7 @@ let unref_neighbor t node =
     if r.refs <= 0 then Hashtbl.remove t.neighbor_maps node
 
 let install_hosted t node kind ~map ~meta_version ~context ~now =
-  Hashtbl.replace t.hosted node
+  add_hosted t node
     { h_node = node; h_kind = kind; h_map = map; h_meta_version = meta_version; h_last_used = now };
   (match kind with
   | Owned -> t.owned_count <- t.owned_count + 1
@@ -188,21 +206,23 @@ let add_owned t node ~owner_of ~now =
 let ensure_self t h ~now =
   if not (Node_map.mem h.h_map t.id) then
     h.h_map <-
-      Node_map.add_pinned ~scratch:t.map_scratch ~max:(r_map t) h.h_map
+      Node_map.add_pinned ?scratch:t.map_scratch ~max:(r_map t) h.h_map
         { Node_map.server = t.id; is_owner = (h.h_kind = Owned); stamp = now }
 
+(* Runs for every path entry of every query hop: [Hashtbl.find] and its
+   [Not_found] instead of [find_opt] and its [Some]. *)
 let merge_into_known_map t node map ~now =
   if Node_map.is_empty map then ()
   else
-    match find_hosted t node with
-    | Some h ->
-      h.h_map <- Node_map.merge ~scratch:t.map_scratch ~max:(r_map t) t.rng h.h_map map;
+    match Hashtbl.find t.hosted node with
+    | h ->
+      h.h_map <- Node_map.merge ?scratch:t.map_scratch ~max:(r_map t) t.rng h.h_map map;
       ensure_self t h ~now
-    | None -> (
-      match Hashtbl.find_opt t.neighbor_maps node with
-      | Some r ->
-        r.n_map <- Node_map.merge ~scratch:t.map_scratch ~max:(r_map t) t.rng r.n_map map
-      | None -> if t.config.Config.features.Config.caching then Cache.insert t.cache ~node map)
+    | exception Not_found -> (
+      match Hashtbl.find t.neighbor_maps node with
+      | r -> r.n_map <- Node_map.merge ?scratch:t.map_scratch ~max:(r_map t) t.rng r.n_map map
+      | exception Not_found ->
+        if t.config.Config.features.Config.caching then Cache.insert t.cache ~node map)
 
 let touch_node t node ~now =
   Ranking.touch t.ranking node;
@@ -250,7 +270,7 @@ let replica_budget t =
 let evict_replica t node =
   match find_hosted t node with
   | Some h when h.h_kind = Replicated ->
-    Hashtbl.remove t.hosted node;
+    remove_hosted t node;
     t.replica_count <- t.replica_count - 1;
     t.replicas_evicted <- t.replicas_evicted + 1;
     (* lint: obs-in-hot-path replica churn is counters-level and rare *)
@@ -264,7 +284,7 @@ let evict_replica t node =
 let remove_owned t node =
   match find_hosted t node with
   | Some h when h.h_kind = Owned ->
-    Hashtbl.remove t.hosted node;
+    remove_hosted t node;
     t.owned_count <- t.owned_count - 1;
     List.iter (unref_neighbor t) (Tree.neighbors t.tree node);
     Ranking.remove t.ranking node;
@@ -291,7 +311,7 @@ let install_owned t payload ~now =
   | Some _ -> invalid_arg "Server.install_owned: already owned"
   | None -> ());
   let map =
-    Node_map.add_pinned ~scratch:t.map_scratch ~max:(r_map t) payload.rp_map
+    Node_map.add_pinned ?scratch:t.map_scratch ~max:(r_map t) payload.rp_map
       { Node_map.server = t.id; is_owner = true; stamp = now }
   in
   install_hosted t node Owned ~map ~meta_version:payload.rp_meta_version
@@ -303,14 +323,14 @@ let install_replica t payload ~now =
   match find_hosted t node with
   | Some h ->
     (* Already hosted: fold in the newer view (soft-state merge). *)
-    h.h_map <- Node_map.merge ~scratch:t.map_scratch ~max:(r_map t) t.rng h.h_map payload.rp_map;
+    h.h_map <- Node_map.merge ?scratch:t.map_scratch ~max:(r_map t) t.rng h.h_map payload.rp_map;
     ensure_self t h ~now;
     if payload.rp_meta_version > h.h_meta_version then h.h_meta_version <- payload.rp_meta_version;
     List.iter
       (fun (nb, map) ->
         match Hashtbl.find_opt t.neighbor_maps nb with
         | Some r ->
-          r.n_map <- Node_map.merge ~scratch:t.map_scratch ~max:(r_map t) t.rng r.n_map map
+          r.n_map <- Node_map.merge ?scratch:t.map_scratch ~max:(r_map t) t.rng r.n_map map
         | None -> ())
       payload.rp_context;
     `Merged
@@ -340,7 +360,7 @@ let install_replica t payload ~now =
         (* Pinned: a full same-stamp rp_map must not truncate the new
            host's own entry out of the map it will advertise. *)
         let map =
-          Node_map.add_pinned ~scratch:t.map_scratch ~max:(r_map t) payload.rp_map
+          Node_map.add_pinned ?scratch:t.map_scratch ~max:(r_map t) payload.rp_map
             { Node_map.server = t.id; is_owner = false; stamp = now }
         in
         install_hosted t node Replicated ~map ~meta_version:payload.rp_meta_version
@@ -368,12 +388,7 @@ let queue_length t = Queue.length t.queue
 let prune_map_with_digests t node map =
   if not t.config.Config.features.Config.digests then map
   else begin
-    let pruned =
-      Node_map.filter map ~f:(fun server ->
-          match Digest_store.test_remote t.digests ~server ~node with
-          | Some false -> false (* digest denial is authoritative: no false negatives *)
-          | Some true | None -> true)
-    in
+    let pruned = Node_map.filter map ~f:(fun server -> not (Digest_store.denies t.digests ~server ~node)) in
     if Obs.full_on t.obs then begin
       let removed = Node_map.size map - Node_map.size pruned in
       (* lint: obs-in-hot-path gated on the full level; pure size readout *)
@@ -425,7 +440,7 @@ let record_new_replica t node target ~now =
   | None -> ()
   | Some h ->
     h.h_map <-
-      Node_map.add ~scratch:t.map_scratch ~max:(r_map t) h.h_map
+      Node_map.add ?scratch:t.map_scratch ~max:(r_map t) h.h_map
         { Node_map.server = target; is_owner = false; stamp = now };
     ensure_self t h ~now;
     if Obs.counters_on t.obs then

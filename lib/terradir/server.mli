@@ -53,6 +53,9 @@ type t = {
           {!Replication} so their signatures stay hook-free *)
   speed : float;  (** relative capacity: service times divide by this *)
   hosted : (node_id, hosted) Hashtbl.t;
+  mutable hosted_ids : node_id array;
+      (** [hosted]'s keys in slots [0 .. Hashtbl.length hosted - 1], in no
+          order: the routing scan walks them without a closure *)
   neighbor_maps : (node_id, neighbor_ref) Hashtbl.t;
   mutable owned_count : int;
   mutable replica_count : int;
@@ -62,9 +65,9 @@ type t = {
       (** scratch for {!Routing}'s digest consultation — length
           {!max_digests_consulted}, reused every routing step *)
   digest_scratch_blooms : Terradir_bloom.Bloom.t array;
-  map_scratch : Node_map.scratch;
-      (** reusable workspace for every map merge/add this server performs —
-          single-owner (the server's engine lane), never shared *)
+  map_scratch : Node_map.scratch option;
+      (** workspace for every map merge/add this server performs, owned by
+          its engine lane; an option built once, passed as [?scratch] *)
   load : Load_meter.t;
   ranking : Ranking.t;
   known_loads : (server_id, float) Hashtbl.t;
@@ -170,7 +173,8 @@ val queue_length : t -> int
 val prune_map_with_digests : t -> node_id -> Node_map.t -> Node_map.t
 (** §3.6.2: drop map entries whose server's stored digest denies hosting the
     node.  Conservative: entries without a digest, and owner entries, are
-    kept.  No-op when the digest feature is off. *)
+    kept.  No-op when the digest feature is off.  Routing applies the same
+    rule without building the map, fused with its draw. *)
 
 val make_replica_payload : t -> node_id -> now:float -> replica_payload option
 (** Sender side: package a hosted node's replica state (map with self and

@@ -89,12 +89,9 @@ let path_append q node map =
 
 let path_truncate q = if q.path_len > path_cap then q.path_len <- path_cap
 
-let path_iter q ~f =
-  for i = 0 to q.path_len - 1 do
-    let j = q.path_head - i in
-    let j = if j < 0 then j + path_store else j in
-    f q.path_nodes.(j) q.path_maps.(j)
-  done
+let path_slot q i =
+  let j = q.path_head - i in
+  if j < 0 then j + path_store else j
 
 let path_scrub q =
   Array.fill q.path_maps 0 path_store Node_map.empty;

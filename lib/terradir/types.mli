@@ -85,8 +85,8 @@ val path_append : query -> node_id -> Node_map.t -> unit
 val path_truncate : query -> unit
 (** Drop oldest entries beyond [path_cap] (the in-flight piggyback bound). *)
 
-val path_iter : query -> f:(node_id -> Node_map.t -> unit) -> unit
-(** Visit live entries newest-first — the historical list order. *)
+val path_slot : query -> int -> int
+(** Ring index of the [i]th newest live entry, [0 <= i < path_len]. *)
 
 val path_scrub : query -> unit
 (** {!path_reset} plus clearing every map slot to [Node_map.empty], so a

@@ -64,26 +64,23 @@ let length t = t.len
 
 (* ---- index table ---- *)
 
-let find_slot t k =
-  let mask = t.idx_mask in
-  let rec probe i =
-    match t.idx.(i) with
-    | 0 -> -1
-    | v when v > 0 && t.keys.(v - 1) = k -> v - 1
-    | _ -> probe ((i + 1) land mask)
-  in
-  probe (scramble k land mask)
+(* Top-level recursions, not local closures: lookups allocate nothing. *)
+let rec probe_slot t k i =
+  match t.idx.(i) with
+  | 0 -> -1
+  | v when v > 0 && t.keys.(v - 1) = k -> v - 1
+  | _ -> probe_slot t k ((i + 1) land t.idx_mask)
 
-let index_insert t k slot =
-  let mask = t.idx_mask in
-  let rec probe i =
-    if t.idx.(i) <= 0 then begin
-      if t.idx.(i) < 0 then t.idx_tombs <- t.idx_tombs - 1;
-      t.idx.(i) <- slot + 1
-    end
-    else probe ((i + 1) land mask)
-  in
-  probe (scramble k land mask)
+let find_slot t k = probe_slot t k (scramble k land t.idx_mask)
+
+let rec probe_free t slot i =
+  if t.idx.(i) <= 0 then begin
+    if t.idx.(i) < 0 then t.idx_tombs <- t.idx_tombs - 1;
+    t.idx.(i) <- slot + 1
+  end
+  else probe_free t slot ((i + 1) land t.idx_mask)
+
+let index_insert t k slot = probe_free t slot (scramble k land t.idx_mask)
 
 let sweep_tombs t =
   Array.fill t.idx 0 (Array.length t.idx) 0;
@@ -96,18 +93,16 @@ let sweep_tombs t =
   in
   reindex t.head
 
-let index_remove t k =
-  let mask = t.idx_mask in
-  let rec probe i =
-    match t.idx.(i) with
-    | 0 -> ()
-    | v when v > 0 && t.keys.(v - 1) = k ->
-      t.idx.(i) <- -1;
-      t.idx_tombs <- t.idx_tombs + 1;
-      if 4 * t.idx_tombs > Array.length t.idx then sweep_tombs t
-    | _ -> probe ((i + 1) land mask)
-  in
-  probe (scramble k land mask)
+let rec probe_remove t k i =
+  match t.idx.(i) with
+  | 0 -> ()
+  | v when v > 0 && t.keys.(v - 1) = k ->
+    t.idx.(i) <- -1;
+    t.idx_tombs <- t.idx_tombs + 1;
+    if 4 * t.idx_tombs > Array.length t.idx then sweep_tombs t
+  | _ -> probe_remove t k ((i + 1) land t.idx_mask)
+
+let index_remove t k = probe_remove t k (scramble k land t.idx_mask)
 
 (* ---- recency list ---- *)
 
@@ -132,14 +127,14 @@ let promote t slot =
 
 (* ---- operations ---- *)
 
-let find t k =
+let find t k ~default =
   match find_slot t k with
-  | -1 -> None
+  | -1 -> default
   | slot ->
     promote t slot;
-    Some t.vals.(slot)
+    t.vals.(slot)
 
-let peek t k = match find_slot t k with -1 -> None | slot -> Some t.vals.(slot)
+let peek t k ~default = match find_slot t k with -1 -> default | slot -> t.vals.(slot)
 
 let mem t k = find_slot t k >= 0
 
@@ -182,23 +177,19 @@ let put t k v =
       index_insert t k slot;
       push_front t slot
 
-let fold t ~init ~f =
-  let rec go acc slot = if slot < 0 then acc else go (f acc t.keys.(slot) t.vals.(slot)) t.next.(slot) in
-  go init t.head
+let first t = t.head
 
-let fold_until t ~init ~f =
-  let rec go acc slot =
-    if slot < 0 then acc
-    else
-      match f acc t.keys.(slot) t.vals.(slot) with
-      | Either.Left acc -> go acc t.next.(slot)
-      | Either.Right acc -> acc
-  in
-  go init t.head
+let next t slot = t.next.(slot)
 
-let iter t ~f = fold t ~init:() ~f:(fun () k v -> f k v)
+let key t slot = t.keys.(slot)
 
-let keys_mru_order t = List.rev (fold t ~init:[] ~f:(fun acc k _ -> k :: acc))
+let value t slot = t.vals.(slot)
+
+let rec fold t f acc slot = if slot < 0 then acc else fold t f (f acc t.keys.(slot) t.vals.(slot)) t.next.(slot)
+
+let iter t ~f = fold t (fun () k v -> f k v) () t.head
+
+let keys_mru_order t = List.rev (fold t (fun acc k _ -> k :: acc) [] t.head)
 
 let clear t =
   Array.fill t.idx 0 (Array.length t.idx) 0;

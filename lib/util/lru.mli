@@ -17,10 +17,11 @@ val capacity : 'a t -> int
 
 val length : 'a t -> int
 
-val find : 'a t -> int -> 'a option
-(** [find t k] returns the binding and promotes [k] to most-recently-used. *)
+val find : 'a t -> int -> default:'a -> 'a
+(** [find t k ~default] returns the binding, or [default] when [k] is
+    absent, and promotes [k] to most-recently-used. *)
 
-val peek : 'a t -> int -> 'a option
+val peek : 'a t -> int -> default:'a -> 'a
 (** Like {!find} but without promoting. *)
 
 val mem : 'a t -> int -> bool
@@ -32,16 +33,19 @@ val put : 'a t -> int -> 'a -> unit
 
 val remove : 'a t -> int -> unit
 
-val fold : 'a t -> init:'b -> f:('b -> int -> 'a -> 'b) -> 'b
-(** Fold over entries from most- to least-recently used. *)
+val first : 'a t -> int
+(** Allocation-free cursor, MRU first, without promoting: the first slot or
+    [-1].  Slots stay valid until the next [put], [remove] or [clear]. *)
 
-val fold_until :
-  'a t -> init:'b -> f:('b -> int -> 'a -> ('b, 'b) Either.t) -> 'b
-(** Like {!fold}, but [f] returning [Right acc] stops the walk with [acc].
-    For consumers that only want an MRU prefix — a full {!fold} over a
-    large cache is the dominant cost when called on a hot path. *)
+val next : 'a t -> int -> int
+(** The slot after [slot] in recency order, or [-1] at the end. *)
+
+val key : 'a t -> int -> int
+
+val value : 'a t -> int -> 'a
 
 val iter : 'a t -> f:(int -> 'a -> unit) -> unit
+(** Iterate entries from most- to least-recently used. *)
 
 val keys_mru_order : 'a t -> int list
 (** Keys from most- to least-recently-used (for tests). *)

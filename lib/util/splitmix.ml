@@ -1,39 +1,46 @@
-type t = { mutable state : int64; mutable draws : int }
+(* The state lives in an 8-byte buffer: a mutable [int64] field would box
+   a fresh value at every draw, and draws sit on every routing step. *)
+type t = { state : Bytes.t; mutable draws : int }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix64 (Int64.of_int seed); draws = 0 }
+let of_state state draws =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_ne b 0 state;
+  { state = b; draws }
 
-let copy g = { state = g.state; draws = g.draws }
+let create seed = of_state (mix64 (Int64.of_int seed)) 0
 
-let bits64 g =
-  g.state <- Int64.add g.state golden_gamma;
+let copy g = { state = Bytes.copy g.state; draws = g.draws }
+
+let[@inline] bits64 g =
+  let state = Int64.add (Bytes.get_int64_ne g.state 0) golden_gamma in
+  Bytes.set_int64_ne g.state 0 state;
   g.draws <- g.draws + 1;
-  mix64 g.state
+  mix64 state
 
-let split g = { state = bits64 g; draws = 0 }
+let split g = of_state (bits64 g) 0
 
 let draws g = g.draws
 
 (* Non-negative 62-bit int from the top bits: keeps arithmetic on OCaml's
    63-bit native ints exact. *)
-let bits62 g = Int64.to_int (Int64.shift_right_logical (bits64 g) 2)
+let[@inline] bits62 g = Int64.to_int (Int64.shift_right_logical (bits64 g) 2)
+
+(* Rejection sampling to avoid modulo bias. *)
+let rec draw_below g n limit =
+  let v = bits62 g in
+  if v >= limit then draw_below g n limit else v mod n
 
 let int g n =
   if n <= 0 then invalid_arg "Splitmix.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias. *)
   let mask_range = 0x3FFF_FFFF_FFFF_FFFF in
-  let limit = mask_range - (mask_range mod n) in
-  let rec draw () =
-    let v = bits62 g in
-    if v >= limit then draw () else v mod n
-  in
-  draw ()
+  draw_below g n (mask_range - (mask_range mod n))
 
 let float g x =
   (* 53 random mantissa bits scaled to [0, 1). *)

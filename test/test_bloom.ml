@@ -79,14 +79,18 @@ let test_copy_independent () =
   Alcotest.(check bool) "copy diverges" false (Bloom.equal a b);
   Alcotest.(check bool) "original unaffected" false (Bloom.mem a 2)
 
-let test_mem_hashed_agrees () =
-  let b = Bloom.create ~expected:50 () in
-  List.iter (Bloom.add b) (List.init 50 (fun i -> i * 3));
+let test_first_mem_agrees () =
+  let filters =
+    Array.init 3 (fun k ->
+        let b = Bloom.create ~expected:50 () in
+        List.iter (Bloom.add b) (List.init 50 (fun i -> (i * 3) + k));
+        b)
+  in
   for x = 0 to 300 do
-    Alcotest.(check bool)
-      (Printf.sprintf "mem_hashed %d" x)
-      (Bloom.mem b x)
-      (Bloom.mem_hashed b (Bloom.hash x))
+    let expected =
+      if Bloom.mem filters.(0) x then 0 else if Bloom.mem filters.(1) x then 1 else -1
+    in
+    Alcotest.(check int) (Printf.sprintf "first_mem %d" x) expected (Bloom.first_mem filters 2 x)
   done
 
 let test_of_list () =
@@ -121,6 +125,14 @@ let prop_union_semantics_via_adds =
       List.iter (Bloom.add b) ys;
       List.for_all (Bloom.mem b) members_before)
 
+let test_mem_allocates_nothing () =
+  let b = Bloom.of_list (List.init 100 (fun i -> i * 3)) in
+  let w0 = Gc.minor_words () in
+  for x = 0 to 4999 do
+    ignore (Sys.opaque_identity (Bloom.mem b x))
+  done;
+  Alcotest.(check (float 0.01)) "words per mem" 0.0 ((Gc.minor_words () -. w0) /. 5000.0)
+
 let () =
   Alcotest.run "terradir_bloom"
     [
@@ -134,7 +146,8 @@ let () =
           Alcotest.test_case "fill ratio" `Quick test_fill_ratio_monotone;
           Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "copy" `Quick test_copy_independent;
-          Alcotest.test_case "mem_hashed" `Quick test_mem_hashed_agrees;
+          Alcotest.test_case "first_mem" `Quick test_first_mem_agrees;
+          Alcotest.test_case "mem allocates nothing" `Quick test_mem_allocates_nothing;
           Alcotest.test_case "of_list" `Quick test_of_list;
           Alcotest.test_case "validation" `Quick test_create_validation;
         ] );

@@ -10,23 +10,17 @@ let map1 server = Node_map.singleton ~server ~stamp:1.0 ()
 let test_insert_use () =
   let c = mk () in
   Cache.insert c ~node:10 (map1 1);
-  (match Cache.use c ~node:10 with
-  | Some m -> Alcotest.(check bool) "map present" true (Node_map.mem m 1)
-  | None -> Alcotest.fail "expected hit");
-  Alcotest.(check (option Alcotest.reject)) "miss"
-    None
-    (Option.map (fun _ -> assert false) (Cache.use c ~node:99));
+  Alcotest.(check bool) "map present" true (Node_map.mem (Cache.use c ~node:10) 1);
+  Alcotest.(check bool) "miss is the empty map" true (Node_map.is_empty (Cache.use c ~node:99));
   Alcotest.(check int) "a miss is not a hit" 1 (Cache.hits c)
 
 let test_insert_merges () =
   let c = mk () in
   Cache.insert c ~node:10 (map1 1);
   Cache.insert c ~node:10 (map1 2);
-  match Cache.peek c ~node:10 with
-  | Some m ->
-    Alcotest.(check bool) "both servers" true (Node_map.mem m 1 && Node_map.mem m 2);
-    Alcotest.(check int) "one entry" 1 (Cache.length c)
-  | None -> Alcotest.fail "expected entry"
+  let m = Cache.peek c ~node:10 in
+  Alcotest.(check bool) "both servers" true (Node_map.mem m 1 && Node_map.mem m 2);
+  Alcotest.(check int) "one entry" 1 (Cache.length c)
 
 let test_insert_empty_ignored () =
   let c = mk () in
@@ -40,8 +34,8 @@ let test_lru_touch_on_use () =
   ignore (Cache.use c ~node:1);
   (* 2 is now LRU *)
   Cache.insert c ~node:3 (map1 3);
-  Alcotest.(check bool) "2 evicted" true (Cache.peek c ~node:2 = None);
-  Alcotest.(check bool) "1 kept (touched)" true (Cache.peek c ~node:1 <> None)
+  Alcotest.(check bool) "2 evicted" true (Node_map.is_empty (Cache.peek c ~node:2));
+  Alcotest.(check bool) "1 kept (touched)" false (Node_map.is_empty (Cache.peek c ~node:1))
 
 let test_peek_does_not_promote () =
   let c = mk ~slots:2 () in
@@ -49,25 +43,23 @@ let test_peek_does_not_promote () =
   Cache.insert c ~node:2 (map1 2);
   ignore (Cache.peek c ~node:1);
   Cache.insert c ~node:3 (map1 3);
-  Alcotest.(check bool) "1 evicted despite peek" true (Cache.peek c ~node:1 = None)
+  Alcotest.(check bool) "1 evicted despite peek" true (Node_map.is_empty (Cache.peek c ~node:1))
 
 let test_update_prune () =
   let c = mk () in
   Cache.insert c ~node:5 (Node_map.of_entries ~max:4 [ { Node_map.server = 1; is_owner = false; stamp = 1.0 }; { Node_map.server = 2; is_owner = false; stamp = 2.0 } ]);
   Cache.update c ~node:5 ~f:(fun m -> Node_map.remove m 1);
-  (match Cache.peek c ~node:5 with
-  | Some m -> Alcotest.(check (list int)) "pruned" [ 2 ] (Node_map.servers m)
-  | None -> Alcotest.fail "entry expected");
+  Alcotest.(check (list int)) "pruned" [ 2 ] (Node_map.servers (Cache.peek c ~node:5));
   (* pruning away everything drops the entry *)
   Cache.update c ~node:5 ~f:(fun m -> Node_map.remove m 2);
-  Alcotest.(check bool) "empty entry dropped" true (Cache.peek c ~node:5 = None);
+  Alcotest.(check int) "empty entry dropped" 0 (Cache.length c);
   Cache.update c ~node:404 ~f:(fun m -> m) (* absent: no-op *)
 
 let test_disabled_cache () =
   let c = mk ~slots:0 () in
   Cache.insert c ~node:1 (map1 1);
   Alcotest.(check int) "nothing stored" 0 (Cache.length c);
-  Alcotest.(check bool) "no hit" true (Cache.use c ~node:1 = None)
+  Alcotest.(check bool) "no hit" true (Node_map.is_empty (Cache.use c ~node:1))
 
 let test_remove_and_iter () =
   let c = mk () in

@@ -139,7 +139,7 @@ let test_dead_end_escapes_via_root () =
   Alcotest.(check int) "resolved" 1 m.Metrics.resolved;
   Alcotest.(check int) "no dead-end drop" 0 m.Metrics.dropped_dead_end;
   Alcotest.(check bool) "root contact re-read" true
-    (Option.is_some (Cache.peek s.Server.cache ~node:Tree.root))
+    (not (Node_map.is_empty (Cache.peek s.Server.cache ~node:Tree.root)))
 
 (* ------------------------------------------------------------------ *)
 (* Failures                                                            *)

@@ -88,8 +88,8 @@ let prop_lru_model =
             Lru.put lru k v;
             Model.put model k v;
             true
-          | Find k -> Lru.find lru k = Model.find model k
-          | Peek k -> Lru.peek lru k = Model.peek model k
+          | Find k -> Lru.find lru k ~default:min_int = Option.value (Model.find model k) ~default:min_int
+          | Peek k -> Lru.peek lru k ~default:min_int = Option.value (Model.peek model k) ~default:min_int
           | Mem k -> Lru.mem lru k = Model.mem model k
           | Remove k ->
             Lru.remove lru k;
@@ -102,7 +102,7 @@ let prop_lru_model =
 let test_lru_eviction_order () =
   let lru = Lru.create ~capacity:3 in
   List.iter (fun k -> Lru.put lru k (10 * k)) [ 1; 2; 3 ];
-  ignore (Lru.find lru 1);
+  ignore (Lru.find lru 1 ~default:0);
   (* 1 promoted: inserting 4 must evict 2, the LRU *)
   Lru.put lru 4 40;
   Alcotest.(check (list int)) "MRU order after eviction" [ 4; 1; 3 ] (Lru.keys_mru_order lru);

@@ -93,6 +93,22 @@ let test_context_refs () =
   | None -> Alcotest.fail "expected a neighbor context for node 1's parent");
   check_fires "forged refcount" "context-refs" (rules_of s ~now:1.0)
 
+(* No Cache operation stores an empty map — that is the invariant — so
+   forge one below the abstraction: a cache's first field is its LRU. *)
+type forged_cache = { lru : Node_map.t Lru.t }
+
+let test_cache_empty () =
+  let s = owned_server [ 1 ] in
+  Cache.insert s.Server.cache ~node:30 (Node_map.singleton ~server:3 ~stamp:0.5 ());
+  Alcotest.(check (list string)) "clean before" [] (rules_of s ~now:1.0);
+  Lru.put (Obj.magic s.Server.cache : forged_cache).lru 30 Node_map.empty;
+  check_fires "emptied cache entry" "cache-empty" (rules_of s ~now:1.0)
+
+let test_hosted_ids () =
+  let s = owned_server [ 1; 6 ] in
+  s.Server.hosted_ids.(0) <- 30;
+  check_fires "forged hosted id" "hosted-ids" (rules_of s ~now:1.0)
+
 let test_clock_regression () =
   let t = Invariant.create () in
   Invariant.check_cluster t ~now:5.0 ~next_event:None ~servers:[||] ~owner_of:[||];
@@ -141,6 +157,8 @@ let () =
           Alcotest.test_case "self missing" `Quick test_self_missing;
           Alcotest.test_case "stamp future" `Quick test_stamp_future;
           Alcotest.test_case "context refs" `Quick test_context_refs;
+          Alcotest.test_case "cache empty" `Quick test_cache_empty;
+          Alcotest.test_case "hosted ids" `Quick test_hosted_ids;
           Alcotest.test_case "clock regression" `Quick test_clock_regression;
           Alcotest.test_case "deliver raises and resets" `Quick test_deliver_raises_and_resets;
         ] );

@@ -141,17 +141,15 @@ let test_digest_local_versions () =
 
 let test_digest_remote_versioning () =
   let d = Digest_store.create ~max_remote:4 () in
-  Alcotest.(check (option bool)) "unknown server" None (Digest_store.test_remote d ~server:9 ~node:1);
+  Alcotest.(check bool) "unknown server denies nothing" false (Digest_store.denies d ~server:9 ~node:1);
   Digest_store.record_remote d ~server:9 ~version:2 (Bloom.of_list [ 1 ]);
-  Alcotest.(check (option bool)) "hit" (Some true) (Digest_store.test_remote d ~server:9 ~node:1);
+  Alcotest.(check bool) "hit" false (Digest_store.denies d ~server:9 ~node:1);
   (* stale version ignored *)
   Digest_store.record_remote d ~server:9 ~version:1 (Bloom.of_list [ 42 ]);
-  Alcotest.(check (option bool)) "stale ignored" (Some true)
-    (Digest_store.test_remote d ~server:9 ~node:1);
+  Alcotest.(check bool) "stale ignored" false (Digest_store.denies d ~server:9 ~node:1);
   Digest_store.record_remote d ~server:9 ~version:3 (Bloom.of_list [ 42 ]);
-  Alcotest.(check (option bool)) "newer replaces" (Some true)
-    (Digest_store.test_remote d ~server:9 ~node:42);
-  Alcotest.(check (option int)) "version stored" (Some 3) (Digest_store.remote_version d ~server:9)
+  Alcotest.(check bool) "newer replaces" false (Digest_store.denies d ~server:9 ~node:42);
+  Alcotest.(check bool) "newer digest denies" true (Digest_store.denies d ~server:9 ~node:1)
 
 let test_digest_remote_bounded () =
   let d = Digest_store.create ~max_remote:2 () in

@@ -258,6 +258,23 @@ let prop_route_path_adjacency =
       in
       ok path)
 
+(* Minor words per call of [f 0 .. f (n-1)], averaged. *)
+let words_per_call n f =
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    f i
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let test_distance_allocates_nothing () =
+  let t = Build.balanced ~arity:3 ~levels:6 in
+  let n = Tree.size t in
+  let words =
+    words_per_call 5000 (fun i ->
+        ignore (Sys.opaque_identity (Tree.distance t (i * 7919 mod n) (i * 104729 mod n))))
+  in
+  Alcotest.(check (float 0.01)) "words per distance" 0.0 words
+
 let () =
   Alcotest.run "terradir_namespace"
     [
@@ -281,6 +298,7 @@ let () =
           Alcotest.test_case "ancestor ops" `Quick test_tree_ancestor_ops;
           Alcotest.test_case "levels/leaves" `Quick test_tree_levels_leaves;
           Alcotest.test_case "builder validation" `Quick test_builder_validation;
+          Alcotest.test_case "distance allocates nothing" `Quick test_distance_allocates_nothing;
         ] );
       ( "build",
         [

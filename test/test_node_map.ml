@@ -83,6 +83,38 @@ let test_merge_combines_fresh_info () =
   | [ e ] -> Alcotest.(check (float 1e-9)) "stamp refreshed" 9.0 e.Node_map.stamp
   | _ -> Alcotest.fail "expected single entry"
 
+(* [merge] allocates only its result — two row arrays of [1 + size] words
+   and a 3-word record — and nothing when it returns an input.  The
+   scratch is passed as a prebuilt option: [~scratch:sc] would allocate
+   its [Some] at every call. *)
+let test_merge_allocates_only_result () =
+  let scratch = Some (Node_map.scratch ()) in
+  let rng = Splitmix.create 3 in
+  let words_per_merge a b =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      ignore (Sys.opaque_identity (Node_map.merge ?scratch ~max:4 rng a b))
+    done;
+    (Gc.minor_words () -. w0) /. 1000.0
+  in
+  let a = Node_map.of_entries ~max:4 [ entry ~owner:true 1 1.0; entry 2 5.0 ] in
+  let older = Node_map.of_entries ~max:4 [ entry 2 3.0 ] in
+  Alcotest.(check (float 0.01)) "merge with itself" 0.0 (words_per_merge a a);
+  Alcotest.(check (float 0.01)) "merge with a subsumed map" 0.0 (words_per_merge a older);
+  List.iter
+    (fun b ->
+      let size = Node_map.size (Node_map.merge ~max:4 rng a b) in
+      let bound = float_of_int (3 + (2 * (1 + size))) in
+      Alcotest.(check bool)
+        (Printf.sprintf "at most the %d-entry result" size)
+        true
+        (words_per_merge a b <= bound))
+    [
+      Node_map.of_entries ~max:4 [ entry 2 9.0 ];
+      Node_map.of_entries ~max:4 [ entry 3 6.0 ];
+      Node_map.of_entries ~max:4 [ entry 3 6.0; entry 4 7.0; entry 5 8.0; entry ~owner:true 6 0.5 ];
+    ]
+
 let test_filter_owner_exempt () =
   let m = Node_map.of_entries ~max:4 [ entry ~owner:true 1 1.0; entry 2 2.0; entry 3 3.0 ] in
   let m' = Node_map.filter m ~f:(fun server -> server <> 2) in
@@ -94,13 +126,11 @@ let test_random_server () =
   let rng = Splitmix.create 4 in
   let m = Node_map.of_entries ~max:4 [ entry 1 1.0; entry 2 2.0 ] in
   for _ = 1 to 50 do
-    match Node_map.random_server ~exclude:1 m rng with
-    | Some s -> Alcotest.(check int) "exclusion respected" 2 s
-    | None -> Alcotest.fail "expected a server"
+    Alcotest.(check int) "exclusion respected" 2 (Node_map.random_server ~exclude:1 m rng)
   done;
-  Alcotest.(check (option int)) "all excluded" None
+  Alcotest.(check int) "all excluded" (-1)
     (Node_map.random_server ~exclude:1 (Node_map.of_entries ~max:4 [ entry 1 1.0 ]) rng);
-  Alcotest.(check (option int)) "empty map" None (Node_map.random_server Node_map.empty rng)
+  Alcotest.(check int) "empty map" (-1) (Node_map.random_server ~exclude:(-1) Node_map.empty rng)
 
 let test_validation () =
   Alcotest.check_raises "of_entries max" (Invalid_argument "Node_map.of_entries: max must be >= 1")
@@ -255,6 +285,7 @@ let () =
           Alcotest.test_case "merge owner+bound" `Quick test_merge_owner_and_bound;
           Alcotest.test_case "merge subsumed reuse" `Quick test_merge_subsumed_physical_reuse;
           Alcotest.test_case "merge freshness" `Quick test_merge_combines_fresh_info;
+          Alcotest.test_case "merge allocates only its result" `Quick test_merge_allocates_only_result;
           Alcotest.test_case "filter owner exempt" `Quick test_filter_owner_exempt;
           Alcotest.test_case "random server" `Quick test_random_server;
           Alcotest.test_case "validation" `Quick test_validation;

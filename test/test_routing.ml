@@ -215,6 +215,40 @@ let prop_routing_converges =
       in
       walk start 0)
 
+(* On a cluster warmed by a short uniform run — caches, remote digests and
+   replicas populated — a routing decision allocates at most its [Forward]
+   record (4 words): no closures, options, tuples or boxed numbers. *)
+let test_decide_allocation () =
+  let tree = Build.balanced ~arity:3 ~levels:6 in
+  let config = { Config.default with Config.num_servers = 64; seed = 5 } in
+  let cluster = Cluster.create ~config ~tree () in
+  Terradir_workload.Scenario.run cluster
+    ~phases:(Terradir_workload.Stream.unif ~rate:1500.0 ~duration:20.0)
+    ~seed:7;
+  let servers = cluster.Cluster.servers in
+  let total f = Array.fold_left (fun acc s -> acc + f s) 0 servers in
+  Alcotest.(check bool) "caches warmed" true (total (fun s -> Cache.length s.Server.cache) > 0);
+  Alcotest.(check bool) "digests warmed" true
+    (total (fun s -> Digest_store.remote_count s.Server.digests) > 0);
+  Alcotest.(check bool) "replicas warmed" true (total (fun s -> s.Server.replica_count) > 0);
+  let n = 2000 and rng = Splitmix.create 17 in
+  let at = Array.init n (fun _ -> servers.(Splitmix.int rng (Array.length servers))) in
+  let dst = Array.init n (fun _ -> Splitmix.int rng (Tree.size tree)) in
+  let forwards = ref 0 in
+  Array.iteri
+    (fun i s ->
+      match Routing.decide s ~dst:dst.(i) with
+      | Routing.Forward _ -> incr forwards
+      | Routing.Resolve | Routing.Dead_end -> ())
+    at;
+  Alcotest.(check bool) "mostly forwards" true (!forwards > n / 2);
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    ignore (Sys.opaque_identity (Routing.decide at.(i) ~dst:dst.(i)))
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check bool) (Printf.sprintf "%.2f words per decision <= 8" words) true (words <= 8.0)
+
 let () =
   Alcotest.run "terradir_routing"
     [
@@ -225,6 +259,7 @@ let () =
           Alcotest.test_case "routes terminate" `Quick test_full_route_terminates;
           Alcotest.test_case "cache shortcut" `Quick test_cache_shortcut_used;
           Alcotest.test_case "digest shortcut" `Quick test_digest_shortcut;
+          Alcotest.test_case "decide allocation" `Quick test_decide_allocation;
           Alcotest.test_case "shortcut gated by feature" `Quick test_digest_shortcut_disabled_by_feature;
           Alcotest.test_case "shortcut strictness" `Quick test_shortcut_only_when_strictly_better;
           Alcotest.test_case "dead end" `Quick test_dead_end_without_knowledge;

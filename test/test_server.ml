@@ -203,7 +203,7 @@ let test_merge_into_known_map_routes () =
   | None -> Alcotest.fail "neighbor map");
   (* neither → cache (caching on) *)
   Server.merge_into_known_map s 30 incoming ~now:9.0;
-  Alcotest.(check bool) "cached" true (Cache.peek s.Server.cache ~node:30 <> None)
+  Alcotest.(check bool) "cached" false (Node_map.is_empty (Cache.peek s.Server.cache ~node:30))
 
 let test_merge_into_known_map_no_cache_when_disabled () =
   let cfg = { config with Config.features = Config.base } in
@@ -248,7 +248,7 @@ let test_forget_server () =
   Cache.insert s.Server.cache ~node:30 (Node_map.singleton ~server:3 ~stamp:1.0 ());
   Server.forget_server s 30 3;
   Alcotest.(check bool) "cache entry dropped when emptied" true
-    (Cache.peek s.Server.cache ~node:30 = None)
+    (Node_map.is_empty (Cache.peek s.Server.cache ~node:30))
 
 let test_make_replica_payload () =
   let s = owned_server [ 5 ] in

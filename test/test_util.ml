@@ -214,18 +214,18 @@ let test_lru_put_find () =
   let c = Lru.create ~capacity:2 in
   Lru.put c 1 "a";
   Lru.put c 2 "b";
-  Alcotest.(check (option string)) "find 1" (Some "a") (Lru.find c 1);
+  Alcotest.(check string) "find 1" "a" (Lru.find c 1 ~default:"");
   Lru.put c 3 "c";
   (* 2 was least recently used after find 1 promoted key 1 *)
-  Alcotest.(check (option string)) "2 evicted" None (Lru.find c 2);
-  Alcotest.(check (option string)) "1 kept" (Some "a") (Lru.find c 1);
-  Alcotest.(check (option string)) "3 kept" (Some "c") (Lru.find c 3)
+  Alcotest.(check string) "2 evicted" "" (Lru.find c 2 ~default:"");
+  Alcotest.(check string) "1 kept" "a" (Lru.find c 1 ~default:"");
+  Alcotest.(check string) "3 kept" "c" (Lru.find c 3 ~default:"")
 
 let test_lru_eviction_order () =
   let c = Lru.create ~capacity:3 in
   List.iter (fun k -> Lru.put c k k) [ 1; 2; 3 ];
   Alcotest.(check (list int)) "mru order" [ 3; 2; 1 ] (Lru.keys_mru_order c);
-  ignore (Lru.find c 1);
+  ignore (Lru.find c 1 ~default:0);
   Alcotest.(check (list int)) "promoted" [ 1; 3; 2 ] (Lru.keys_mru_order c);
   Lru.put c 4 4;
   Alcotest.(check bool) "2 evicted" false (Lru.mem c 2);
@@ -235,7 +235,7 @@ let test_lru_peek_no_promote () =
   let c = Lru.create ~capacity:2 in
   Lru.put c 1 "a";
   Lru.put c 2 "b";
-  Alcotest.(check (option string)) "peek" (Some "a") (Lru.peek c 1);
+  Alcotest.(check string) "peek" "a" (Lru.peek c 1 ~default:"");
   Lru.put c 3 "c";
   Alcotest.(check bool) "1 evicted despite peek" false (Lru.mem c 1)
 
@@ -243,14 +243,14 @@ let test_lru_zero_capacity () =
   let c = Lru.create ~capacity:0 in
   Lru.put c 1 "a";
   Alcotest.(check int) "stays empty" 0 (Lru.length c);
-  Alcotest.(check (option string)) "no find" None (Lru.find c 1)
+  Alcotest.(check string) "no find" "" (Lru.find c 1 ~default:"")
 
 let test_lru_update_existing () =
   let c = Lru.create ~capacity:2 in
   Lru.put c 1 "a";
   Lru.put c 2 "b";
   Lru.put c 1 "a2";
-  Alcotest.(check (option string)) "updated" (Some "a2") (Lru.find c 1);
+  Alcotest.(check string) "updated" "a2" (Lru.find c 1 ~default:"");
   Alcotest.(check int) "no duplicate" 2 (Lru.length c)
 
 let test_lru_remove () =
